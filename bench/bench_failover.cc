@@ -540,7 +540,7 @@ ReshardBenchResult RunLiveReshard(size_t settop_count) {
   }
 
   // A probe router on a separate client: its adoption latency stands in for
-  // the fleet's (every router re-fetches within map_max_age of the publish).
+  // the fleet's (every router re-fetches within kMapMaxAge of the publish).
   sim::Process& probe = harness.SpawnProcessOn(0, "probe");
   naming::NameClient probe_nc = harness.ClientFor(probe);
   auto* probe_table = probe.Emplace<rpc::BindingTable>(probe.runtime(),

@@ -15,11 +15,10 @@
 //   - RPC messages per successful open (flat = no hidden central hot spot).
 //
 // A second "channel surf" phase has every admitted settop close its movie and
-// open another one, twice. Re-opens re-resolve the MMS, so this phase
-// measures the client-side resolution cache: with the cache each surf open
-// skips the name-service round trip entirely. Each cluster size runs twice —
-// cache detached, then cache attached — on identical workloads, and the
-// surf-phase msgs/open and NS resolve counts are reported for both.
+// open another one, twice. Each settop opens and closes through one
+// BoundClient<MmsProxy>, as a settop application does: the binding resolves
+// the MMS once and keeps the reference until a NACK or timeout invalidates
+// it, so surf opens cost no name-service round trip.
 
 #include <algorithm>
 #include <cstdio>
@@ -55,11 +54,9 @@ struct RunResult {
   size_t surf_opens = 0;
   double surf_msgs_per_open = 0;
   uint64_t surf_ns_resolves = 0;
-  uint64_t cache_hits = 0;
 };
 
-RunResult RunCluster(size_t servers, size_t settops_per_server,
-                     bool use_cache) {
+RunResult RunCluster(size_t servers, size_t settops_per_server) {
   svc::HarnessOptions opts;
   opts.server_count = servers;
   opts.neighborhood_count = static_cast<uint8_t>(servers);
@@ -82,11 +79,9 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
   Rng rng(1234 + servers);
   size_t total = servers * settops_per_server;
   struct Viewer {
-    sim::Process* process;
-    naming::NameClient nc;
+    rpc::BoundClient<media::MmsProxy> mms;
     uint32_t settop_host = 0;
     Future<media::MmsTicket> open;
-    Time started;
   };
   std::vector<Viewer> viewers;
   viewers.reserve(total);
@@ -102,36 +97,29 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
     uint8_t nb = static_cast<uint8_t>(1 + (i % servers));
     sim::Node& settop = harness.AddSettop(nb);
     sim::Process& p = settop.Spawn("viewer");
-    naming::NameClient nc = harness.ClientFor(p);
-    if (!use_cache) {
-      nc.set_resolution_cache(nullptr);  // Baseline: every resolve hits NS.
-    }
+    auto* table = p.Emplace<rpc::BindingTable>(
+        p.runtime(), harness.ClientFor(p).PathResolverFn());
     std::string title = "movie-" + std::to_string(rng.Below(40));
 
-    Viewer viewer{&p, nc, settop.host(), {}, harness.cluster().Now()};
-    // Resolve then open; the latency histogram records resolve+open time for
-    // the opens that are admitted.
+    Viewer viewer{table->Bind<media::MmsProxy>(media::kMmsName),
+                  settop.host(),
+                  {}};
+    // The first call resolves the MMS; the latency histogram records
+    // resolve+open time for the opens that are admitted.
     Promise<media::MmsTicket> done;
     viewer.open = done.future();
     sim::Cluster* cluster = &harness.cluster();
-    Time started = viewer.started;
-    nc.Resolve(std::string(media::kMmsName))
-        .OnReady([&p, title, done, cluster, started, &open_latency,
-                  settop_host = settop.host()](
-                     const Result<wire::ObjectRef>& mms) mutable {
-          if (!mms.ok()) {
-            done.Set(mms.status());
-            return;
+    Time started = cluster->Now();
+    viewer.mms.Call<media::MmsTicket>(
+        [title, settop_host = settop.host()](const media::MmsProxy& proxy) {
+          return proxy.Open(title, settop_host, wire::ObjectRef{});
+        },
+        [done, cluster, started,
+         &open_latency](Result<media::MmsTicket> t) mutable {
+          if (t.ok()) {
+            open_latency.Record((cluster->Now() - started).seconds());
           }
-          media::MmsProxy proxy(p.runtime(), *mms);
-          proxy.Open(title, settop_host, wire::ObjectRef{})
-              .OnReady([done, cluster, started, &open_latency](
-                           const Result<media::MmsTicket>& t) mutable {
-                if (t.ok()) {
-                  open_latency.Record((cluster->Now() - started).seconds());
-                }
-                done.Set(t);
-              });
+          done.Set(std::move(t));
         });
     viewers.push_back(std::move(viewer));
     // Pace arrivals so MMS load snapshots refresh (5 s cadence).
@@ -156,7 +144,7 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
           : static_cast<double>(cold_msgs_after - msgs_before) /
                 static_cast<double>(result.admitted);
 
-  // --- Channel-surf phase: close, re-resolve the MMS, open another movie.
+  // --- Channel-surf phase: close, then open another movie, on the binding.
   uint64_t surf_msgs_before = harness.metrics().Get("net.msg.total");
   uint64_t surf_resolves_before = harness.metrics().Get("ns.resolve");
   for (size_t round = 0; round < kSurfRounds; ++round) {
@@ -168,40 +156,23 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
       std::string title = "movie-" + std::to_string(rng.Below(40));
       Promise<media::MmsTicket> done;
       viewer.open = done.future();
-      sim::Process* p = viewer.process;
+      rpc::BoundClient<media::MmsProxy> mms = viewer.mms;
       uint32_t settop_host = viewer.settop_host;
-      naming::NameClient nc = viewer.nc;
-      nc.Resolve(std::string(media::kMmsName))
-          .OnReady([p, held, title, done, settop_host,
-                    nc](const Result<wire::ObjectRef>& mms) mutable {
-            if (!mms.ok()) {
-              done.Set(mms.status());
+      mms.Call<void>(
+          [movie = held.movie](const media::MmsProxy& proxy) {
+            return proxy.Close(movie);
+          },
+          [mms, title, done, settop_host](Result<void> closed) mutable {
+            if (!closed.ok()) {
+              done.Set(closed.status());
               return;
             }
-            media::MmsProxy proxy(p->runtime(), *mms);
-            proxy.Close(held.movie)
-                .OnReady([p, title, done, settop_host, nc](
-                             const Result<void>& closed) mutable {
-                  if (!closed.ok()) {
-                    done.Set(closed.status());
-                    return;
-                  }
-                  // Re-resolve per open, as a settop app would; with the
-                  // cache attached this is answered locally.
-                  nc.Resolve(std::string(media::kMmsName))
-                      .OnReady([p, title, done, settop_host](
-                                   const Result<wire::ObjectRef>& mms2) mutable {
-                        if (!mms2.ok()) {
-                          done.Set(mms2.status());
-                          return;
-                        }
-                        media::MmsProxy proxy2(p->runtime(), *mms2);
-                        proxy2.Open(title, settop_host, wire::ObjectRef{})
-                            .OnReady(
-                                [done](const Result<media::MmsTicket>& t) mutable {
-                                  done.Set(t);
-                                });
-                      });
+            mms.Call<media::MmsTicket>(
+                [title, settop_host](const media::MmsProxy& proxy) {
+                  return proxy.Open(title, settop_host, wire::ObjectRef{});
+                },
+                [done](Result<media::MmsTicket> t) mutable {
+                  done.Set(std::move(t));
                 });
           });
       harness.cluster().RunFor(Duration::Millis(50));
@@ -221,7 +192,6 @@ RunResult RunCluster(size_t servers, size_t settops_per_server,
                 static_cast<double>(result.surf_opens);
   result.surf_ns_resolves =
       harness.metrics().Get("ns.resolve") - surf_resolves_before;
-  result.cache_hits = harness.metrics().Get("resolve.cache.hit");
   return result;
 }
 
@@ -506,34 +476,25 @@ int main() {
   std::printf(
       "demand: 24 settops/server x 3 Mb/s; per-server MDS capacity 48 Mb/s "
       "(16 streams)\nsurf phase: every admitted settop closes + re-opens "
-      "twice, re-resolving the MMS\n\n");
-  bench::PrintRow({"servers", "cache", "admitted", "open_p50_s", "open_p99_s",
-                   "cold_m/open", "surf_m/open", "surf_ns_res", "hits"});
+      "twice through its MMS binding\n\n");
+  bench::PrintRow({"servers", "admitted", "open_p50_s", "open_p99_s",
+                   "cold_m/open", "surf_m/open", "surf_ns_res"});
   bench::ReportSection report("bench_scalability");
   for (size_t servers : {1, 2, 4, 8}) {
-    RunResult off = RunCluster(servers, /*settops_per_server=*/24,
-                               /*use_cache=*/false);
-    RunResult on = RunCluster(servers, /*settops_per_server=*/24,
-                              /*use_cache=*/true);
-    for (const RunResult* r : {&off, &on}) {
-      bench::PrintRow(
-          {bench::FmtInt(r->servers), r == &on ? "on" : "off",
-           bench::FmtInt(r->admitted), bench::Fmt("%.4f", r->p50_open_s),
-           bench::Fmt("%.4f", r->p99_open_s),
-           bench::Fmt("%.1f", r->cold_msgs_per_open),
-           bench::Fmt("%.1f", r->surf_msgs_per_open),
-           bench::FmtInt(r->surf_ns_resolves), bench::FmtInt(r->cache_hits)});
-    }
+    RunResult r = RunCluster(servers, /*settops_per_server=*/24);
+    bench::PrintRow(
+        {bench::FmtInt(r.servers), bench::FmtInt(r.admitted),
+         bench::Fmt("%.4f", r.p50_open_s), bench::Fmt("%.4f", r.p99_open_s),
+         bench::Fmt("%.1f", r.cold_msgs_per_open),
+         bench::Fmt("%.1f", r.surf_msgs_per_open),
+         bench::FmtInt(r.surf_ns_resolves)});
     std::string prefix = "servers_" + std::to_string(servers) + "_";
-    report.SetInt(prefix + "admitted", on.admitted);
-    report.Set(prefix + "open_p50_s", on.p50_open_s);
-    report.Set(prefix + "open_p99_s", on.p99_open_s);
-    report.Set(prefix + "cold_msgs_per_open", on.cold_msgs_per_open);
-    report.Set(prefix + "surf_msgs_per_open_nocache", off.surf_msgs_per_open);
-    report.Set(prefix + "surf_msgs_per_open_cache", on.surf_msgs_per_open);
-    report.SetInt(prefix + "surf_ns_resolves_nocache", off.surf_ns_resolves);
-    report.SetInt(prefix + "surf_ns_resolves_cache", on.surf_ns_resolves);
-    report.SetInt(prefix + "resolve_cache_hits", on.cache_hits);
+    report.SetInt(prefix + "admitted", r.admitted);
+    report.Set(prefix + "open_p50_s", r.p50_open_s);
+    report.Set(prefix + "open_p99_s", r.p99_open_s);
+    report.Set(prefix + "cold_msgs_per_open", r.cold_msgs_per_open);
+    report.Set(prefix + "surf_msgs_per_open", r.surf_msgs_per_open);
+    report.SetInt(prefix + "surf_ns_resolves", r.surf_ns_resolves);
   }
   bench::PrintHeader(
       "E2b: sharded MMS — per-primary session load divides by shard count");
@@ -647,8 +608,7 @@ int main() {
       "\nexpect: admitted ~= 16 x servers; open latency and cold per-open "
       "message cost\nroughly flat => no central bottleneck (cold m/open "
       "includes background polling\ntraffic, so it overstates the true cost "
-      "uniformly). With the resolution cache,\nsurf m/open drops and "
-      "surf-phase NS resolves collapse to ~0: re-opens skip the\n"
-      "name-service round trip.\n");
+      "uniformly). Surf opens reuse each settop's MMS binding, so\n"
+      "surf-phase NS resolves are the servers' own background lookups.\n");
   return 0;
 }

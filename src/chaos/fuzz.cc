@@ -84,6 +84,29 @@ bool RefPointsAtLiveProcess(sim::Cluster& cluster, const wire::ObjectRef& ref) {
   return process != nullptr && process->incarnation() == ref.incarnation;
 }
 
+// Version of the shard map the NS master publishes at "<base>/.shards"; 0
+// when there is no master or the service is unsharded.
+uint32_t PublishedShardMapVersion(svc::ClusterHarness& harness,
+                                  std::string_view base) {
+  for (naming::NameServer* ns : harness.LiveNameServers()) {
+    if (!ns->is_master()) {
+      continue;
+    }
+    Result<naming::BindingList> listing = ns->tree().List(SplitPath(base));
+    if (!listing.ok()) {
+      return 0;
+    }
+    for (const naming::Binding& binding : *listing) {
+      if (binding.name == wire::kShardMapBindingName &&
+          wire::IsShardMapRef(binding.ref)) {
+        return wire::DecodeShardMapRef(binding.ref).version;
+      }
+    }
+    return 0;
+  }
+  return 0;
+}
+
 // Reshard convergence (ROADMAP "Shard rebalancing"): after the storm the
 // successor map must be the published one, every successor shard primary
 // must resolve from scratch, and the shard session tables must respect the
@@ -603,18 +626,22 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
           return claims;
         });
   }
-  monitor.AddQuiescent("cache-coherence", [&cluster, viewers]() -> Status {
+  monitor.AddQuiescent("router-map-coherence", [&harness, &cluster,
+                                                viewers]() -> Status {
+    uint32_t published = PublishedShardMapVersion(harness, media::kMmsName);
+    const std::string base(media::kMmsName);
     for (const Viewer& viewer : *viewers) {
-      rpc::ResolutionCache& cache = viewer.process->resolution_cache();
-      for (const auto& entry : cache.Snapshot()) {
-        if (entry.age > cache.max_age()) {
-          continue;  // A Lookup would miss; never served.
-        }
-        if (!RefPointsAtLiveProcess(cluster, entry.ref)) {
-          return InternalError("resolution cache would serve '" + entry.path +
-                               "' -> dead endpoint (" +
-                               DescribeRef(entry.ref) + ")");
-        }
+      const rpc::ShardRouter& router = viewer.vod->router();
+      std::optional<Time> fetched = router.MapFetchedAt(base);
+      if (!fetched.has_value() ||
+          cluster.Now() - *fetched > rpc::ShardRouter::kMapMaxAge) {
+        continue;  // The next route re-fetches; this map is never served.
+      }
+      if (router.AdoptedVersion(base) < published) {
+        return InternalError(
+            StrFormat("viewer on host %u would route by map v%u, published v%u",
+                      viewer.process->host(), router.AdoptedVersion(base),
+                      published));
       }
     }
     return OkStatus();

@@ -23,8 +23,9 @@
 //                         every live replica agrees on master/epoch.
 //                         (Continuously: two masters may coexist only in
 //                         distinct epochs.)
-//   cache-coherence       no viewer ResolutionCache entry young enough to be
-//                         served still points at a dead endpoint.
+//   router-map-coherence  no viewer's ShardRouter would serve (valid, not
+//                         expired, within its max age) an svc/mms shard map
+//                         older than the version the NS master publishes.
 //   reshard-convergence   (with reshard_to) the successor shard map is the
 //                         one published, every shard primary resolves, each
 //                         shard holds only settops it owns under the

@@ -313,10 +313,10 @@ void MmsService::HandleOpen(const std::string& title, uint32_t settop_host,
   }
   if (!OwnsSettop(settop_host)) {
     // Served anyway: during a reshard cutover clients route by maps up to
-    // map_max_age stale, so wrong-shard opens are expected for a window. The
-    // refresh tick hands the session off to the owning shard (drain below);
-    // outside a cutover a nonzero rate means some client routes with the
-    // wrong map or salt.
+    // ShardRouter::kMapMaxAge stale, so wrong-shard opens are expected for
+    // a window. The refresh tick hands the session off to the owning shard
+    // (drain below); outside a cutover a nonzero rate means some client
+    // routes with the wrong map or salt.
     Count("mms.open_wrong_shard");
   }
   int64_t bitrate_bps = BitrateOf(title);
@@ -436,6 +436,7 @@ void MmsService::FinishOpen(MdsReplica* replica, const std::string& title,
         session.mds_ref = mds_ref;
         session.stream_id = ticket->stream_id;
         session.movie = ticket->movie;
+        session.opened_at = executor_.Now();
         session.connection = grant;
         // Step 9-10: watch the settop through the RAS; reclaim on death.
         session.watch = audit_->Watch(
@@ -600,6 +601,7 @@ void MmsService::RebuildStateFromMds(bool register_watches,
     // Completion fires once every replica has answered or timed out; an
     // unreachable MDS contributes no sessions (its streams died with it).
     auto pending = std::make_shared<size_t>(replicas.size());
+    Time asked = executor_.Now();
     for (const naming::Binding& binding : replicas) {
       MdsProxy mds(runtime_, binding.ref);
       rpc::CallOptions opts;
@@ -607,10 +609,10 @@ void MmsService::RebuildStateFromMds(bool register_watches,
       std::string name = binding.name;
       wire::ObjectRef ref = binding.ref;
       mds.ListSessions(opts).OnReady(
-          [this, name, ref, register_watches, pending,
+          [this, name, ref, asked, register_watches, pending,
            done](const Result<std::vector<SessionInfo>>& sessions) {
             if (sessions.ok()) {
-              AdoptSessions(name, ref, *sessions, register_watches);
+              AdoptSessions(name, ref, *sessions, asked, register_watches);
             }
             if (--*pending == 0 && done) {
               done(OkStatus());
@@ -623,23 +625,37 @@ void MmsService::RebuildStateFromMds(bool register_watches,
 void MmsService::AdoptSessions(const std::string& mds_name,
                                const wire::ObjectRef& mds_ref,
                                const std::vector<SessionInfo>& sessions,
-                               bool register_watches) {
+                               Time asked, bool register_watches) {
   std::set<uint64_t> reported;
   for (const SessionInfo& info : sessions) {
     reported.insert(info.stream_id);
   }
   // Drop passive (pre-warmed) records this MDS no longer reports — the
-  // session closed while we were a backup. Watched sessions are never dropped
-  // here; the primary's own close/reclaim paths own those.
+  // session closed while we were a backup.
+  std::vector<uint64_t> vanished;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second.mds_name == mds_name && it->second.watch == 0 &&
-        reported.count(it->second.stream_id) == 0) {
+    if (it->second.mds_name != mds_name ||
+        reported.count(it->second.stream_id) > 0) {
+      ++it;
+    } else if (it->second.watch == 0) {
       admission_.Release(it->second.connection.downstream_bps);
       it = sessions_.erase(it);
       Count("mms.session_stale_pruned");
     } else {
+      // A watched session whose stream the MDS dropped — the MDS restarted,
+      // or reclaimed a stream never played because the settop never saw its
+      // ticket — holds a connection nothing streams on. Release it now, not
+      // after the cmgr's grant audit. Sessions recorded after the question
+      // was asked may not be in the answer yet.
+      if (it->second.opened_at < asked) {
+        vanished.push_back(it->first);
+      }
       ++it;
     }
+  }
+  for (uint64_t id : vanished) {
+    Count("mms.session_vanished");
+    ReclaimSession(id, /*tell_mds=*/false);
   }
   for (const SessionInfo& info : sessions) {
     if (!OwnsSettop(info.settop_host)) {
@@ -677,6 +693,7 @@ void MmsService::AdoptSessions(const std::string& mds_name,
     session.stream_id = info.stream_id;
     session.movie = info.movie;
     session.connection = info.connection;
+    session.opened_at = executor_.Now();
     // Admitted elsewhere (a previous primary's tenure or another shard);
     // its stream is live, so account it without re-judging the pool.
     admission_.Adopt(info.connection.downstream_bps);

@@ -225,6 +225,7 @@ class MmsService : public rpc::Skeleton {
     uint64_t stream_id = 0;
     wire::ObjectRef movie;
     wire::ObjectRef mds_ref;
+    Time opened_at{};  // When this replica recorded (or adopted) it.
     ConnectionGrant connection;
     ras::AuditClient::WatchId watch = 0;
   };
@@ -261,8 +262,11 @@ class MmsService : public rpc::Skeleton {
   void OnSettopDead(uint32_t settop_host);
   void RebuildStateFromMds(bool register_watches,
                            std::function<void(Status)> done);
+  // Reconciles this replica's table with `sessions`, the streams `mds_name`
+  // held when asked at `asked`: adopts streams it does not know and drops
+  // sessions recorded before `asked` whose stream the MDS no longer holds.
   void AdoptSessions(const std::string& mds_name, const wire::ObjectRef& mds_ref,
-                     const std::vector<SessionInfo>& sessions,
+                     const std::vector<SessionInfo>& sessions, Time asked,
                      bool register_watches);
 
   // Drops every session this shard no longer owns under the current map

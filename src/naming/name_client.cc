@@ -73,10 +73,7 @@ void RetryPublish(Executor& executor, NameClient client, std::string base,
 void SwapShardMap(Executor& executor, NameClient client, std::string base,
                   wire::ShardMap map, PublishDone done, Duration retry,
                   int attempts_left) {
-  // Resolve through the master path, not the process resolution cache: a
-  // cached pre-reshard map would make the CAS spin on stale evidence.
-  NamingContextProxy root(client.runtime(), client.root());
-  root.Resolve(SplitPath(wire::ShardMapPath(base)))
+  client.Resolve(wire::ShardMapPath(base))
       .OnReady([&executor, client, base, map, done, retry,
                 attempts_left](const Result<wire::ObjectRef>& r) {
         if (r.ok() && wire::IsShardMapRef(*r)) {
@@ -196,8 +193,7 @@ void PrimaryBinder::Stop() {
   // after confirming the binding is still ours: between losing the name and
   // the verify loop noticing, an unconditional unbind would evict the new
   // primary.
-  NamingContextProxy root(client_.runtime(), client_.root());
-  root.Resolve(SplitPath(path_))
+  client_.Resolve(path_)
       .OnReady([client = client_, path = path_,
                 my_ref = my_ref_](const Result<wire::ObjectRef>& r) {
         if (r.ok() && *r == my_ref) {
@@ -267,8 +263,7 @@ void PrimaryBinder::TryBind() {
       // master still holds our binding). Check before settling into the
       // backup loop: if the name points at us, we never stopped being
       // primary.
-      NamingContextProxy root(client_.runtime(), client_.root());
-      root.Resolve(SplitPath(path_))
+      client_.Resolve(path_)
           .OnReady([this](const Result<wire::ObjectRef>& resolved) {
             if (!running_ || is_primary_) {
               return;
@@ -309,11 +304,7 @@ void PrimaryBinder::VerifyPrimary() {
   if (!running_ || !is_primary_) {
     return;
   }
-  // Bypass the process's resolution cache: a cached entry could be our own
-  // stale binding and mask the loss this probe exists to detect.
-  NamingContextProxy root(client_.runtime(), client_.root());
-  root.Resolve(SplitPath(path_)).OnReady([this](
-                                             const Result<wire::ObjectRef>& r) {
+  client_.Resolve(path_).OnReady([this](const Result<wire::ObjectRef>& r) {
     if (!running_ || !is_primary_) {
       return;
     }

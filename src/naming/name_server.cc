@@ -382,6 +382,9 @@ void NameServer::ResolveRemote(const wire::ObjectRef& remote, const Name& rest,
 BindingList NameServer::ListAll(ContextTree::Node* node) const {
   BindingList out;
   for (const auto& [name, entry] : node->bindings) {
+    if (node->replicated && name == kSelectorBindingName) {
+      continue;
+    }
     Binding b;
     b.name = name;
     if (entry.is_local_context()) {
@@ -859,10 +862,16 @@ void NameServer::RunAudit() {
     audit_begin = tracer->now();
   }
   trace::ScopedContext scoped(tracer, audit_ctx);
-  audit_->CheckObjects(refs, [this, objects, audit_ctx,
-                              audit_begin](std::vector<uint8_t> alive) {
+  audit_->CheckObjects(refs, [this, objects, audit_ctx, audit_begin,
+                              epoch = epoch_](std::vector<uint8_t> alive) {
     trace::Tracer* tracer = runtime_.tracer();
     if (alive.size() != objects.size()) {
+      return;
+    }
+    if (!is_master() || epoch_ != epoch) {
+      // Deposed while the RAS answered: unbinding now would apply updates
+      // outside the current master's sequence, and the replica's tree would
+      // silently diverge from it.
       return;
     }
     size_t removed = 0;

@@ -108,6 +108,8 @@ class NameServer {
   void ResolveRemote(const wire::ObjectRef& remote, const Name& rest,
                      ResolveCb cb);
   wire::ObjectRef RefForNode(ContextTree::Node* node) const;
+  // Every binding in `node`; a replicated context lists only its replicas,
+  // not its selector pseudo-binding (the ListRepl contract).
   BindingList ListAll(ContextTree::Node* node) const;
   void ListWithSelector(ContextTree::Node* node, const Name& path,
                         uint32_t caller_host,

@@ -106,12 +106,11 @@ Future<wire::Bytes> ObjectRuntime::Invoke(const wire::ObjectRef& ref,
                   static_cast<unsigned long long>(ref.object_id), method_id,
                   ref.endpoint.ToString().c_str());
   }
-  call.target = ref;
   uint64_t call_id = msg.call_id;
   if (!options.timeout.is_infinite()) {
     call.timer = executor_.ScheduleAfter(options.timeout, [this, call_id, ref] {
       Bump(c_timeout_);
-      NotifyStaleTarget(ref, /*definitely_dead=*/false);
+      NotifyStaleTarget();
       FailCall(call_id,
                DeadlineExceededError("rpc timeout to " + ref.endpoint.ToString()));
     });
@@ -272,10 +271,10 @@ void ObjectRuntime::HandleReply(wire::Message msg) {
 void ObjectRuntime::HandleNack(const wire::Message& msg) {
   Bump(c_nack_recv_);
   auto it = pending_.find(msg.call_id);
-  if (it != pending_.end() && !it->second.target.is_null()) {
+  if (it != pending_.end()) {
     // A NACK is definitive: the implementor died or was restarted with a new
-    // incarnation, so any cached binding to this reference is stale.
-    NotifyStaleTarget(it->second.target, /*definitely_dead=*/true);
+    // incarnation, so anything cached about this reference is stale.
+    NotifyStaleTarget();
   }
   FailCall(msg.call_id, UnavailableError("object implementor is gone (" +
                                          msg.source.ToString() + ")"));
@@ -303,10 +302,9 @@ void ObjectRuntime::FailCall(uint64_t call_id, Status status) {
   call.promise.Set(std::move(status));
 }
 
-void ObjectRuntime::NotifyStaleTarget(const wire::ObjectRef& target,
-                                      bool definitely_dead) {
+void ObjectRuntime::NotifyStaleTarget() {
   for (const StaleTargetObserver& observer : stale_target_observers_) {
-    observer(target, definitely_dead);
+    observer();
   }
 }
 

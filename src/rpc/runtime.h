@@ -108,14 +108,13 @@ class ObjectRuntime {
   // order: SSC starts services before tickets exist).
   void set_security_policy(SecurityPolicy* policy) { policy_ = policy; }
 
-  // Observers notified when a call to `target` fails in a way that suggests
-  // the reference is stale: a NACK (`definitely_dead` — the implementor is
-  // gone or restarted, paper Section 3.2.1) or a timeout (`!definitely_dead`
-  // — crash/partition suspicion). The resolution cache subscribes to drop
-  // entries pointing at the dead process, so the next resolve goes back to
-  // the name service instead of replaying the stale binding.
-  using StaleTargetObserver =
-      std::function<void(const wire::ObjectRef& target, bool definitely_dead)>;
+  // Observers notified when a call fails in a way that suggests its
+  // reference is stale: a NACK (the implementor is gone or restarted, paper
+  // Section 3.2.1) or a timeout (crash/partition suspicion). rpc::ShardRouter
+  // subscribes to expire its cached shard maps, so the next route re-reads
+  // the map through the name service instead of trusting one fetched before
+  // the failure.
+  using StaleTargetObserver = std::function<void()>;
   void AddStaleTargetObserver(StaleTargetObserver observer) {
     stale_target_observers_.push_back(std::move(observer));
   }
@@ -137,9 +136,6 @@ class ObjectRuntime {
     trace::TraceContext trace;
     Time started;
     std::string trace_detail;
-    // Where the request went; lets NACK/timeout handling tell stale-target
-    // observers which reference failed.
-    wire::ObjectRef target;
   };
 
   void OnMessage(wire::Message msg);
@@ -149,7 +145,7 @@ class ObjectRuntime {
   void SendNack(const wire::Message& request);
   void FailCall(uint64_t call_id, Status status);
   void FinishCallSpan(PendingCall& call, StatusCode status);
-  void NotifyStaleTarget(const wire::ObjectRef& target, bool definitely_dead);
+  void NotifyStaleTarget();
 
   static void Bump(Metrics::Counter* counter) {
     if (counter != nullptr) {

@@ -37,12 +37,11 @@
 // there would hash every key to the base path mid-cutover.
 //
 // Staleness: the router subscribes to the runtime's stale-target
-// notifications (the same channel the ResolutionCache uses) and expires its
-// decoded maps on any NACK/timeout, so the next route re-reads the map
-// through the name service rather than trusting a cache that may have been
-// populated by a now-dead replica. The router must therefore outlive the
-// runtime's message dispatch (true for process-owned routers, the normal
-// case).
+// notifications and expires its decoded maps on any NACK/timeout, so the
+// next route re-reads the map through the name service rather than trusting
+// a cache that may have been populated by a now-dead replica. The router
+// must therefore outlive the runtime's message dispatch (true for
+// process-owned routers, the normal case).
 
 #ifndef SRC_RPC_SHARD_ROUTER_H_
 #define SRC_RPC_SHARD_ROUTER_H_
@@ -62,19 +61,12 @@ namespace itv::rpc {
 
 class ShardRouter {
  public:
-  struct Options {
-    // How long a decoded shard map is trusted before re-reading it through
-    // the resolver. Mirrors the ResolutionCache max age.
-    Duration map_max_age = Duration::Seconds(15);
-  };
+  // How long a decoded shard map is trusted before re-reading it through
+  // the resolver (the order of the name service's 10 s audit interval).
+  static constexpr Duration kMapMaxAge = Duration::Seconds(15);
 
-  // Two overloads instead of `Options options = {}`: gcc cannot evaluate a
-  // nested class's default member initializers in a default argument.
-  explicit ShardRouter(BindingTable& table) : ShardRouter(table, Options()) {}
-  ShardRouter(BindingTable& table, Options options)
-      : table_(table), options_(options) {
-    table_.runtime().AddStaleTargetObserver(
-        [this](const wire::ObjectRef&, bool) { ExpireAllMaps(); });
+  explicit ShardRouter(BindingTable& table) : table_(table) {
+    table_.runtime().AddStaleTargetObserver([this] { ExpireAllMaps(); });
   }
 
   ShardRouter(const ShardRouter&) = delete;
@@ -92,31 +84,11 @@ class ShardRouter {
   void Route(const std::string& base, uint64_t key,
              const BindingOptions& binding_options,
              std::function<void(Binding&)> done) {
-    MapEntry& entry = maps_[base];
-    Time now = table_.runtime().executor().Now();
-    if (entry.valid && !entry.expired &&
-        now - entry.fetched <= options_.map_max_age) {
-      Count("shard.router.hits");
-      Dispatch(base, entry.map, key, binding_options, std::move(done));
-      return;
-    }
-    entry.waiters.push_back([this, base, key, binding_options,
-                             done = std::move(done)](
-                                const wire::ShardMap& map) mutable {
-      Dispatch(base, map, key, binding_options, std::move(done));
+    WithMap(base, [this, base, key, binding_options,
+                   done = std::move(done)](const wire::ShardMap& map) {
+      done(table_.Get(wire::ShardPath(base, wire::ShardOf(key, map), map),
+                      binding_options));
     });
-    if (entry.fetching) {
-      Count("shard.map.coalesced");
-      return;
-    }
-    entry.fetching = true;
-    Count("shard.map.reloads");
-    ++map_reloads_;
-    table_.resolver()(
-        wire::ShardMapPath(base),
-        [this, base](Result<wire::ObjectRef> r) {
-          OnMapResult(base, std::move(r));
-        });
   }
 
   // Routes one call to an EXPLICIT shard index under `base` (shard-aware
@@ -127,30 +99,11 @@ class ShardRouter {
   void RouteShard(const std::string& base, uint32_t shard,
                   const BindingOptions& binding_options,
                   std::function<void(Binding&)> done) {
-    MapEntry& entry = maps_[base];
-    Time now = table_.runtime().executor().Now();
-    if (entry.valid && !entry.expired &&
-        now - entry.fetched <= options_.map_max_age) {
-      Count("shard.router.hits");
-      DispatchShard(base, entry.map, shard, binding_options, std::move(done));
-      return;
-    }
-    entry.waiters.push_back([this, base, shard, binding_options,
-                             done = std::move(done)](
-                                const wire::ShardMap& map) mutable {
-      DispatchShard(base, map, shard, binding_options, std::move(done));
+    WithMap(base, [this, base, shard, binding_options,
+                   done = std::move(done)](const wire::ShardMap& map) {
+      uint32_t index = map.sharded() ? shard % map.shard_count : shard;
+      done(table_.Get(wire::ShardPath(base, index, map), binding_options));
     });
-    if (entry.fetching) {
-      Count("shard.map.coalesced");
-      return;
-    }
-    entry.fetching = true;
-    Count("shard.map.reloads");
-    ++map_reloads_;
-    table_.resolver()(wire::ShardMapPath(base),
-                      [this, base](Result<wire::ObjectRef> r) {
-                        OnMapResult(base, std::move(r));
-                      });
   }
 
   // Forces the next route under `base` to re-read the map.
@@ -177,6 +130,18 @@ class ShardRouter {
     return it != maps_.end() && it->second.valid ? it->second.map.version : 0;
   }
 
+  // When the map a route under `base` would serve without re-fetching was
+  // fetched; empty when the next route re-fetches regardless of age (no map
+  // yet, or expired by a stale-target notification or a lagging replica).
+  // Routes also re-fetch once the map is older than kMapMaxAge.
+  std::optional<Time> MapFetchedAt(const std::string& base) const {
+    auto it = maps_.find(base);
+    if (it == maps_.end() || !it->second.valid || it->second.expired) {
+      return std::nullopt;
+    }
+    return it->second.fetched;
+  }
+
   uint64_t map_reloads() const { return map_reloads_; }
   // Live cutovers performed (map adopted with a version above the cached
   // one) and retired-shard bindings purged across them.
@@ -193,20 +158,29 @@ class ShardRouter {
     std::vector<std::function<void(const wire::ShardMap&)>> waiters;
   };
 
-  void Dispatch(const std::string& base, const wire::ShardMap& map,
-                uint64_t key, const BindingOptions& binding_options,
-                std::function<void(Binding&)> done) {
-    done(table_.Get(wire::ShardPath(base, wire::ShardOf(key, map), map),
-                    binding_options));
-  }
-
-  void DispatchShard(const std::string& base, const wire::ShardMap& map,
-                     uint32_t shard, const BindingOptions& binding_options,
-                     std::function<void(Binding&)> done) {
-    if (map.sharded()) {
-      shard %= map.shard_count;
+  // Runs `dispatch` with the map for `base`: at once while the cached map is
+  // fresh, otherwise once the single-flight fetch completes.
+  template <typename F>
+  void WithMap(const std::string& base, F dispatch) {
+    MapEntry& entry = maps_[base];
+    if (entry.valid && !entry.expired &&
+        table_.runtime().executor().Now() - entry.fetched <= kMapMaxAge) {
+      Count("shard.router.hits");
+      dispatch(entry.map);
+      return;
     }
-    done(table_.Get(wire::ShardPath(base, shard, map), binding_options));
+    entry.waiters.push_back(std::move(dispatch));
+    if (entry.fetching) {
+      Count("shard.map.coalesced");
+      return;
+    }
+    entry.fetching = true;
+    Count("shard.map.reloads");
+    ++map_reloads_;
+    table_.resolver()(wire::ShardMapPath(base),
+                      [this, base](Result<wire::ObjectRef> r) {
+                        OnMapResult(base, std::move(r));
+                      });
   }
 
   void OnMapResult(const std::string& base, Result<wire::ObjectRef> r) {
@@ -218,7 +192,7 @@ class ShardRouter {
                (IsNotFound(r.status()) &&
                 !(entry.valid && entry.map.sharded()))) {
       // No ".shards" binding (or a foreign one): the service is unsharded.
-      // Cache that — the lookup cost is one resolve per max_age.
+      // Cache that — the lookup cost is one resolve per kMapMaxAge.
       entry.map = wire::ShardMap{};
       entry.valid = true;
       entry.expired = false;
@@ -275,7 +249,6 @@ class ShardRouter {
   }
 
   BindingTable& table_;
-  Options options_;
   std::map<std::string, MapEntry> maps_;
   uint64_t map_reloads_ = 0;
   uint64_t map_cutovers_ = 0;

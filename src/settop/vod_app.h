@@ -64,6 +64,8 @@ class VodApp {
   uint64_t session_id() const { return session_id_; }
   // Which server is currently streaming (0 = none).
   uint32_t mds_host() const { return mds_host_; }
+  // The MMS shard router (read-only: chaos probes check its cached map).
+  const rpc::ShardRouter& router() const { return router_; }
 
  private:
   class MediaSinkSkeleton;

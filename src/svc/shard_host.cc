@@ -61,8 +61,6 @@ void ShardHost::StartShard(uint32_t shard) {
 }
 
 void ShardHost::Poll() {
-  // A plain resolve (no process resolution cache on this client): the poll
-  // IS the staleness bound, a cached map would defeat it.
   ctx_.MakeNameClient()
       .Resolve(wire::ShardMapPath(base_))
       .OnReady([this](const Result<wire::ObjectRef>& r) {

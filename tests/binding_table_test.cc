@@ -4,10 +4,14 @@
 // plus the recovery-storm acceptance property: with a fleet of settops
 // calling through a killed binding, name-service resolves during recovery
 // scale with the number of processes, not with the number of in-flight calls.
+// Against the real name service, the binding is the client's one cache for
+// an object path: repeat calls send the name service nothing, and a NACK
+// costs exactly one re-resolve.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -462,6 +466,222 @@ TEST(BindingStormTest, ResolvesScaleWithProcessesNotCalls) {
   // call coalesces — jitter spreads retries, and late ones hit the already
   // refreshed cache, which is just as cheap.)
   EXPECT_GT(coalesced, 0u);
+}
+
+// --- The binding as the client's cache, against the real name service ---------
+
+class CacheHarnessTest : public ::testing::Test {
+ protected:
+  CacheHarnessTest() {
+    svc::HarnessOptions opts;
+    opts.server_count = 2;
+    harness_ = std::make_unique<svc::ClusterHarness>(opts);
+    harness_->Boot();
+  }
+
+  sim::Cluster& cluster() { return harness_->cluster(); }
+
+  // Starts a ping servant on server `index` and (re)binds it at `path`.
+  PingSkeleton* BindPing(size_t index, const std::string& path) {
+    sim::Process& service =
+        harness_->SpawnProcessOn(index, "ping" + std::to_string(++spawned_));
+    auto* skeleton = service.Emplace<PingSkeleton>();
+    services_.push_back(&service);
+    BindRef(path, service.runtime().Export(skeleton));
+    return skeleton;
+  }
+
+  // (Re)binds `path` to `ref` through a setup process on server 0.
+  void BindRef(const std::string& path, const wire::ObjectRef& ref) {
+    sim::Process& setup = harness_->SpawnProcessOn(0, "setup");
+    naming::NameClient nc = harness_->ClientFor(setup);
+    nc.Unbind(path).OnReady([](const Result<void>&) {});
+    bool bound = false;
+    nc.Bind(path, ref).OnReady(
+        [&bound](const Result<void>& r) { bound = r.ok(); });
+    cluster().RunFor(Duration::Seconds(1));
+    EXPECT_TRUE(bound) << path;
+  }
+
+  // Resolves `path` through `client` and runs the cluster until done.
+  Result<wire::ObjectRef> ResolveNow(const naming::NameClient& client,
+                                     const std::string& path) {
+    Future<wire::ObjectRef> f = client.Resolve(path);
+    cluster().RunFor(Duration::Seconds(1));
+    if (!f.is_ready()) {
+      return DeadlineExceededError("resolve did not complete");
+    }
+    return f.result();
+  }
+
+  // A settop process whose bindings resolve through the name service.
+  BindingTable& SettopTable() {
+    sim::Process& p = harness_->AddSettop(1).Spawn("app");
+    return *p.Emplace<BindingTable>(p.runtime(),
+                                    harness_->ClientFor(p).PathResolverFn());
+  }
+
+  bool PingOnce(const BoundClient<PingProxy>& ping) {
+    bool ok = false;
+    ping.Call<uint64_t>([](const PingProxy& p) { return p.Ping(); },
+                        [&ok](Result<uint64_t> r) { ok = r.ok(); });
+    cluster().RunFor(Duration::Seconds(1));
+    return ok;
+  }
+
+  std::unique_ptr<svc::ClusterHarness> harness_;
+  std::vector<sim::Process*> services_;
+  int spawned_ = 0;
+};
+
+TEST_F(CacheHarnessTest, FirstCallMissesThenEveryClientOfThePathHits) {
+  PingSkeleton* skeleton = BindPing(0, "svc/cacheping");
+  BindingTable& table = SettopTable();
+  BoundClient<PingProxy> first = table.Bind<PingProxy>("svc/cacheping");
+
+  // Nothing is cached before the first call: it misses and resolves once.
+  EXPECT_FALSE(first.binding().cached_ref().has_value());
+  EXPECT_EQ(first.binding().rebind_count(), 0u);
+  ASSERT_TRUE(PingOnce(first));
+  EXPECT_EQ(first.binding().rebind_count(), 1u);
+
+  // A second client of the path in the same process shares the binding, so
+  // its first call is served from the cached reference with no lookup.
+  BoundClient<PingProxy> second = table.Bind<PingProxy>("svc/cacheping");
+  EXPECT_EQ(&second.binding(), &first.binding());
+  ASSERT_TRUE(PingOnce(second));
+  EXPECT_EQ(second.binding().rebind_count(), 1u);
+  EXPECT_EQ(skeleton->pings, 2u);
+}
+
+TEST_F(CacheHarnessTest, CacheHitSkipsNameServiceRpc) {
+  PingSkeleton* skeleton = BindPing(0, "svc/cacheping");
+  BoundClient<PingProxy> ping =
+      SettopTable().Bind<PingProxy>("svc/cacheping");
+
+  ASSERT_TRUE(PingOnce(ping));
+  EXPECT_EQ(ping.binding().rebind_count(), 1u);
+  ASSERT_TRUE(ping.binding().cached_ref().has_value());
+
+  // The binding serves every later call from its cached reference: this
+  // client sends the name service nothing more.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(PingOnce(ping));
+  }
+  EXPECT_EQ(ping.binding().rebind_count(), 1u);
+  EXPECT_EQ(skeleton->pings, 4u);
+}
+
+TEST_F(CacheHarnessTest, NackInvalidatesThenExactlyOneReResolve) {
+  BindPing(0, "svc/cacheping");
+  BoundClient<PingProxy> ping =
+      SettopTable().Bind<PingProxy>("svc/cacheping");
+  ASSERT_TRUE(PingOnce(ping));
+  ASSERT_EQ(ping.binding().rebind_count(), 1u);
+  wire::ObjectRef stale = *ping.binding().cached_ref();
+
+  // Kill the service and bind a replacement on the other server (new
+  // endpoint). Bounded runs, not RunUntilIdle: primary binders keep
+  // verifying their bindings forever, so a booted cluster never goes idle.
+  harness_->server(0).Kill(services_.back()->pid());
+  cluster().RunFor(Duration::Seconds(1));
+  PingSkeleton* replacement = BindPing(1, "svc/cacheping");
+
+  // The next call hits the dead incarnation and is NACKed; the binding drops
+  // its reference and re-resolves exactly once, reaching the replacement.
+  uint64_t nacks_before = harness_->metrics().Get("rpc.nack.recv");
+  ASSERT_TRUE(PingOnce(ping));
+  EXPECT_GT(harness_->metrics().Get("rpc.nack.recv"), nacks_before);
+  EXPECT_EQ(ping.binding().rebind_count(), 2u);
+  EXPECT_EQ(replacement->pings, 1u);
+  ASSERT_TRUE(ping.binding().cached_ref().has_value());
+  EXPECT_NE(ping.binding().cached_ref()->endpoint, stale.endpoint);
+
+  // Later calls resolve zero times.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(PingOnce(ping));
+  }
+  EXPECT_EQ(ping.binding().rebind_count(), 2u);
+  EXPECT_EQ(replacement->pings, 4u);
+}
+
+TEST_F(CacheHarnessTest, DeadEndpointReResolvesOnlyThePathsOnIt) {
+  // Two paths served by one process on server 0, a third by server 1.
+  sim::Process& pair = harness_->SpawnProcessOn(0, "pingpair");
+  BindRef("svc/a", pair.runtime().Export(pair.Emplace<PingSkeleton>()));
+  BindRef("svc/b", pair.runtime().Export(pair.Emplace<PingSkeleton>()));
+  PingSkeleton* c = BindPing(1, "svc/c");
+
+  BindingTable& table = SettopTable();
+  BoundClient<PingProxy> a = table.Bind<PingProxy>("svc/a");
+  BoundClient<PingProxy> b = table.Bind<PingProxy>("svc/b");
+  BoundClient<PingProxy> other = table.Bind<PingProxy>("svc/c");
+  ASSERT_TRUE(PingOnce(a));
+  ASSERT_TRUE(PingOnce(b));
+  ASSERT_TRUE(PingOnce(other));
+  ASSERT_EQ(a.binding().cached_ref()->endpoint,
+            b.binding().cached_ref()->endpoint);
+
+  // The shared endpoint dies and both of its paths move to server 1.
+  harness_->server(0).Kill(pair.pid());
+  cluster().RunFor(Duration::Seconds(1));
+  PingSkeleton* a2 = BindPing(1, "svc/a");
+  PingSkeleton* b2 = BindPing(1, "svc/b");
+
+  // Each binding to the dead endpoint is NACKed on its next call and
+  // re-resolves once; the binding to the live endpoint keeps its reference.
+  ASSERT_TRUE(PingOnce(a));
+  ASSERT_TRUE(PingOnce(b));
+  ASSERT_TRUE(PingOnce(other));
+  EXPECT_EQ(a.binding().rebind_count(), 2u);
+  EXPECT_EQ(b.binding().rebind_count(), 2u);
+  EXPECT_EQ(other.binding().rebind_count(), 1u);
+  EXPECT_EQ(a2->pings, 1u);
+  EXPECT_EQ(b2->pings, 1u);
+  EXPECT_EQ(c->pings, 2u);
+}
+
+TEST_F(CacheHarnessTest, LocalBindAndUnbindInvalidateThePath) {
+  // Two objects announced to the SSC like a real service's, so the name
+  // service's audit finds them alive and never unbinds them on its own.
+  sim::Process& service = harness_->SpawnProcessOn(0, "pingsvc");
+  wire::ObjectRef ref =
+      service.runtime().Export(service.Emplace<PingSkeleton>());
+  wire::ObjectRef ref2 =
+      service.runtime().Export(service.Emplace<PingSkeleton>());
+  ASSERT_NE(ref2.object_id, ref.object_id);
+  svc::SscProxy ssc(service.runtime(), svc::SscRefAt(service.host()));
+  ssc.NotifyReady(service.pid(), {ref, ref2})
+      .OnReady([](const Result<void>&) {});
+
+  sim::Process& proc = harness_->SpawnProcessOn(1, "client");
+  naming::NameClient client = harness_->ClientFor(proc);
+  auto bind = [&](const wire::ObjectRef& r) {
+    bool bound = false;
+    client.Bind("svc/localinval", r).OnReady(
+        [&bound](const Result<void>& b) { bound = b.ok(); });
+    cluster().RunFor(Duration::Seconds(1));
+    return bound;
+  };
+  ASSERT_TRUE(bind(ref));
+  Result<wire::ObjectRef> first = ResolveNow(client, "svc/localinval");
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->object_id, ref.object_id);
+
+  // The name client keeps no path state, so an unbind through it is seen by
+  // this process's very next resolve...
+  bool unbound = false;
+  client.Unbind("svc/localinval").OnReady(
+      [&unbound](const Result<void>& r) { unbound = r.ok(); });
+  cluster().RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(unbound);
+  EXPECT_TRUE(IsNotFound(ResolveNow(client, "svc/localinval").status()));
+
+  // ...and so is a bind of a different object at the same path.
+  ASSERT_TRUE(bind(ref2));
+  Result<wire::ObjectRef> second = ResolveNow(client, "svc/localinval");
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->object_id, ref2.object_id);
 }
 
 }  // namespace

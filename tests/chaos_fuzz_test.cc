@@ -80,6 +80,29 @@ TEST(ChaosFuzzTest, PinnedCorpusPassesAllInvariants) {
   }
 }
 
+TEST(ChaosFuzzTest, SweepSeedsOfFixedBugsPass) {
+  // Full sweep seeds, with the tool defaults the CI sweeps run. Seed 2: an
+  // MMS open whose ticket reply was lost left a never-played MDS stream, and
+  // its connection stayed granted until two cmgr audits after the MDS
+  // reclaimed the stream — past the convergence bound. Seed 10033 (with the
+  // single-primary invariant): an NS master deposed while its audit's RAS
+  // query was in flight still applied the unbinds, so its replica lost
+  // svc/mms and that neighborhood's settops could not open for a minute.
+  struct Pinned {
+    uint64_t seed;
+    bool single_primary;
+  };
+  for (Pinned pinned : {Pinned{2, false}, Pinned{10033, true}}) {
+    FuzzOptions options;
+    options.check_single_primary = pinned.single_primary;
+    FuzzResult result = RunSeed(pinned.seed, options);
+    EXPECT_TRUE(result.passed)
+        << "seed " << pinned.seed << " violated " << result.first_violation
+        << "\n"
+        << result.invariant_report;
+  }
+}
+
 TEST(ChaosFuzzTest, ShardedDeploymentSurvivesMixedShardFaults) {
   // Sharded MMS + CMgr with the exactly-one-primary-PER-SHARD invariant
   // armed (the lifecycle paths are per-shard, so check_single_primary groups

@@ -726,5 +726,48 @@ TEST(MdsUnplayedReclaimTest, ReclaimsNeverPlayedStreamOnly) {
   EXPECT_FALSE(gone.result().ok());
 }
 
+// The MMS side of ghost reclamation: once the MDS drops a never-played
+// stream, the MMS's next refresh releases the session's connection, so the
+// settop's downstream frees within one refresh instead of after the cmgr's
+// two-sweep grant audit.
+TEST(MdsUnplayedReclaimTest, MmsReleasesTheGhostsConnection) {
+  svc::HarnessOptions hopts;
+  hopts.server_count = 2;
+  hopts.neighborhood_count = 2;
+  svc::ClusterHarness harness(hopts);
+  MediaDeployment deploy;
+  deploy.movies = {
+      {MovieInfo{"T2", 3'000'000, 3'000'000 / 8 * 3600}, {0, 1}}};
+  deploy.mds_unplayed_grace = Duration::Seconds(8);
+  RegisterMediaServices(harness, deploy);
+  harness.Boot();
+  harness.cluster().RunFor(Duration::Seconds(10));
+
+  sim::Node& settop = harness.AddSettop(1);
+  sim::Process& p = settop.Spawn("viewer");
+  auto mms_ref = harness.ClientFor(p).Resolve(std::string(kMmsName));
+  harness.cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(mms_ref.is_ready() && mms_ref.result().ok());
+  MmsProxy mms(p.runtime(), mms_ref.result().value());
+
+  // Two 3 Mb/s streams fill the settop's 6 Mb/s downstream.
+  auto ghost = mms.Open("T2", settop.host(), wire::ObjectRef{});
+  auto played = mms.Open("T2", settop.host(), wire::ObjectRef{});
+  harness.cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(ghost.is_ready() && ghost.result().ok());
+  ASSERT_TRUE(played.is_ready() && played.result().ok());
+  auto play = MovieProxy(p.runtime(), played.result()->movie).Play(0);
+  harness.cluster().RunFor(Duration::Seconds(16));
+  ASSERT_TRUE(play.is_ready() && play.result().ok());
+  ASSERT_EQ(harness.metrics().Get("mds.unplayed_reclaimed"), 1u);
+
+  EXPECT_EQ(harness.metrics().Get("mms.session_vanished"), 1u);
+  EXPECT_EQ(harness.metrics().Get("cmgr.grant_reclaimed"), 0u);
+  auto third = mms.Open("T2", settop.host(), wire::ObjectRef{});
+  harness.cluster().RunFor(Duration::Seconds(2));
+  ASSERT_TRUE(third.is_ready());
+  EXPECT_TRUE(third.result().ok()) << third.result().status();
+}
+
 }  // namespace
 }  // namespace itv::media

@@ -455,6 +455,7 @@ TEST_F(SingleReplicaTest, ListAppliesSelectorListReplDoesNot) {
   sim::Process& client = SpawnClient();
   NameClient nc(client.runtime(), servers_[0]->host());
   ASSERT_TRUE(Wait(nc.BindReplContext("rds")).ok());
+  ASSERT_TRUE(Wait(nc.SetSelector("rds", BuiltinSelector::kFirst)).ok());
   ASSERT_TRUE(Wait(nc.Bind("rds/1", FakeRef(1, 1))).ok());
   ASSERT_TRUE(Wait(nc.Bind("rds/2", FakeRef(2, 2))).ok());
 
@@ -463,9 +464,16 @@ TEST_F(SingleReplicaTest, ListAppliesSelectorListReplDoesNot) {
   ASSERT_EQ(selected->size(), 1u);
   EXPECT_EQ((*selected)[0].name, "1");
 
+  // ListRepl returns the replicas only: the selector pseudo-binding (a null
+  // endpoint) is not a replica anyone can call.
   auto all = Wait(nc.ListRepl("rds"));
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 2u);  // Selector binding excluded? No selector bound.
+  ASSERT_EQ(all->size(), 2u);
+  for (const Binding& b : *all) {
+    EXPECT_NE(b.name, kSelectorBindingName);
+    EXPECT_EQ(b.kind, BindingKind::kObject);
+    EXPECT_FALSE(b.ref.endpoint.is_null()) << b.name;
+  }
 }
 
 TEST_F(SingleReplicaTest, BootstrapRefSurvivesNameServiceRestart) {

@@ -1,16 +1,18 @@
 // Shard router tests: the client side of the sharded-service path space.
-// Covers the pseudo-ref encoding, map caching and the unsharded NOT_FOUND
-// fallback, hash stability across map reloads, the per-(service, shard)
-// binding isolation that gives a shard kill a one-shard blast radius — a
-// re-resolution storm on one shard must never touch the other shards'
-// bindings — and the versioned-adoption matrix for live resharding: newer
-// maps cut over (retiring dropped shards' bindings), older maps from lagging
-// name-service replicas are ignored, and a NOT_FOUND seen after a sharded
-// map was adopted is the publish's unbind+bind gap, not an unsharded flip.
+// Covers the pseudo-ref encoding, map caching (max age, expiry on a NACK or
+// timeout) and the unsharded NOT_FOUND fallback, hash stability across map
+// reloads, the per-(service, shard) binding isolation that gives a shard kill
+// a one-shard blast radius — a re-resolution storm on one shard must never
+// touch the other shards' bindings — and the versioned-adoption matrix for
+// live resharding: newer maps cut over (retiring dropped shards' bindings),
+// older maps from lagging name-service replicas are ignored, and a NOT_FOUND
+// seen after a sharded map was adopted is the publish's unbind+bind gap, not
+// an unsharded flip.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -242,6 +244,84 @@ TEST_F(ShardRouterTest, UnshardedServiceFallsBackToBasePath) {
   EXPECT_EQ(MapResolves(), 1);
   ASSERT_TRUE(router_->CachedMap(std::string(kBase)).has_value());
   EXPECT_FALSE(router_->CachedMap(std::string(kBase))->sharded());
+}
+
+TEST_F(ShardRouterTest, MapServedUntilMaxAgeThenRefetched) {
+  const std::string base(kBase);
+  auto route = [&] {
+    router_->Route(base, KeyFor(1), [](Binding&) {});
+  };
+  route();
+  cluster_.RunFor(Duration::Millis(200));
+  ASSERT_EQ(MapResolves(), 1);
+  std::optional<Time> fetched = router_->MapFetchedAt(base);
+  ASSERT_TRUE(fetched.has_value());
+
+  // Within the max age every route is served from the cached map...
+  cluster_.RunFor(*fetched + ShardRouter::kMapMaxAge - Duration::Seconds(1) -
+                  cluster_.Now());
+  route();
+  EXPECT_EQ(MapResolves(), 1);
+  EXPECT_EQ(router_->MapFetchedAt(base), fetched);
+
+  // ...and past it the next route re-reads the map, which the router then
+  // serves with a fresh fetch time.
+  cluster_.RunFor(Duration::Seconds(2));
+  route();
+  EXPECT_EQ(MapResolves(), 2);
+  cluster_.RunFor(Duration::Millis(200));
+  ASSERT_TRUE(router_->MapFetchedAt(base).has_value());
+  EXPECT_GT(*router_->MapFetchedAt(base), *fetched);
+}
+
+TEST_F(ShardRouterTest, MapMaxAgeIsFifteenSecondsInclusive) {
+  ASSERT_EQ(ShardRouter::kMapMaxAge, Duration::Seconds(15));
+  const std::string base(kBase);
+  auto route = [&] {
+    router_->Route(base, KeyFor(1), [](Binding&) {});
+  };
+  route();
+  cluster_.RunFor(Duration::Millis(200));
+  ASSERT_EQ(MapResolves(), 1);
+  std::optional<Time> fetched = router_->MapFetchedAt(base);
+  ASSERT_TRUE(fetched.has_value());
+
+  // A map exactly kMapMaxAge old still serves: expiry is `age > max age`.
+  cluster_.RunFor(*fetched + ShardRouter::kMapMaxAge - cluster_.Now());
+  route();
+  EXPECT_EQ(MapResolves(), 1);
+
+  // One millisecond later it no longer does.
+  cluster_.RunFor(Duration::Millis(1));
+  route();
+  EXPECT_EQ(MapResolves(), 2);
+}
+
+TEST_F(ShardRouterTest, StaleTargetNotificationExpiresMaps) {
+  ShardedClient<PingProxy> ping(*router_, std::string(kBase), FastRetry());
+  auto call = [&](uint32_t shard) {
+    bool ok = false;
+    ping.Call<uint64_t>(KeyFor(shard),
+                        [](const PingProxy& p) { return p.Ping(); },
+                        [&](Result<uint64_t> r) { ok = r.ok(); });
+    cluster_.RunFor(Duration::Seconds(2));
+    return ok;
+  };
+  ASSERT_TRUE(call(1));
+  ASSERT_EQ(MapResolves(), 1);
+
+  // A call to shard 1's dead primary fails over; the failure also expires
+  // the cached map, which may have been read before the failure.
+  KillShard(1);
+  SpawnShard(1);
+  ASSERT_TRUE(call(1));
+  EXPECT_EQ(ShardResolves(1), 2);
+  EXPECT_FALSE(router_->MapFetchedAt(std::string(kBase)).has_value());
+
+  // So the next route on any shard re-reads the map first.
+  ASSERT_TRUE(call(0));
+  EXPECT_EQ(MapResolves(), 2);
+  EXPECT_TRUE(router_->MapFetchedAt(std::string(kBase)).has_value());
 }
 
 // --- Per-shard blast radius ---------------------------------------------------
