@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -225,10 +226,13 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
   };
   auto viewers = std::make_shared<std::vector<Viewer>>();
   std::vector<uint32_t> settop_hosts;
+  // The closures reach `play` through a weak_ptr: capturing the shared_ptr
+  // in the function it owns is a cycle that would leak it past this run.
   auto play = std::make_shared<std::function<void(size_t)>>();
-  *play = [viewers, &harness, play](size_t i) {
+  std::weak_ptr<std::function<void(size_t)>> weak = play;
+  *play = [viewers, &harness, weak](size_t i) {
     Viewer& viewer = (*viewers)[i];
-    viewer.vod->PlayMovie(viewer.movie, [viewers, &harness, play, i](Status s) {
+    viewer.vod->PlayMovie(viewer.movie, [viewers, &harness, weak, i](Status s) {
       Viewer& v = (*viewers)[i];
       v.last_error = s;
       if (s.ok()) {
@@ -236,8 +240,11 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
       }
       ++v.restarts;
       harness.metrics().Add("fuzz.viewer.replay");
-      v.process->executor().ScheduleAfter(Duration::Seconds(2),
-                                          [play, i] { (*play)(i); });
+      v.process->executor().ScheduleAfter(Duration::Seconds(2), [weak, i] {
+        if (auto replay = weak.lock()) {
+          (*replay)(i);
+        }
+      });
     });
   };
   // The map viewers boot under; skewed placement and the admission probe
@@ -324,7 +331,8 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
     // PrimaryBinder takes toward its binding. Idempotent once durable (the
     // resolve finds an incumbent >= ours and stops there).
     auto republish = std::make_shared<std::function<void()>>();
-    *republish = [&harness, &ctl, successor, republish] {
+    std::weak_ptr<std::function<void()>> weak_republish = republish;
+    *republish = [&harness, &ctl, successor, weak_republish] {
       naming::PublishShardMap(
           ctl.executor(), harness.ClientFor(ctl),
           std::string(media::kMmsName), successor,
@@ -337,8 +345,10 @@ FuzzResult Run(uint64_t seed, const sim::ChaosPlan* replay,
                             << r->shard_count << " shards) is authoritative";
             }
           });
-      ctl.executor().ScheduleAfter(Duration::Seconds(10),
-                                   [republish] { (*republish)(); });
+      // The pending timer is what keeps the function alive (it holds itself
+      // only weakly, so it does not outlive the cluster's scheduler).
+      auto again = [self = weak_republish.lock()] { (*self)(); };
+      ctl.executor().ScheduleAfter(Duration::Seconds(10), std::move(again));
     };
     ctl.executor().ScheduleAfter(at, [republish] { (*republish)(); });
     mms_map = successor;

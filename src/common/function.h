@@ -1,11 +1,12 @@
 // UniqueFn: a move-only `void()` callable with inline small-buffer storage.
 //
 // Every timer and every simulated network delivery stores one of these.
-// Unlike std::function it does not require the target to be copyable --
-// delivery lambdas capture wire::Message by value and *move* it down the
-// stack -- and targets up to kInlineSize bytes (the common case: a few
-// captured pointers plus a moved message) live inside the event slot, so
-// scheduling does not heap-allocate.
+// Unlike std::function it does not require the target to be copyable, so
+// callbacks may own move-only state. Targets up to kInlineSize bytes (a few
+// captured pointers and ids) live inside the event slot, so scheduling them
+// does not heap-allocate; larger targets cost one allocation. A captured
+// wire::Message (232 bytes) does not fit: the simulated network parks
+// in-flight messages in its own pool and schedules only their index.
 
 #ifndef SRC_COMMON_FUNCTION_H_
 #define SRC_COMMON_FUNCTION_H_
@@ -19,9 +20,16 @@ namespace itv {
 
 class UniqueFn {
  public:
-  // Large enough for a captured `this` plus a moved wire::Message's inline
-  // members; larger captures fall back to one heap allocation.
+  // Targets up to this size are stored inline; larger ones cost one heap
+  // allocation.
   static constexpr std::size_t kInlineSize = 120;
+
+  // True if a `F` target is stored inside the UniqueFn rather than on the
+  // heap. Hot paths static_assert it for the closures they schedule.
+  template <typename F>
+  static constexpr bool kStoresInline =
+      sizeof(F) <= kInlineSize && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
 
   UniqueFn() = default;
   UniqueFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -32,9 +40,7 @@ class UniqueFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   UniqueFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (kStoresInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       call_ = [](void* s) { (*static_cast<Fn*>(s))(); };
       manage_ = [](Op op, void* s, void* dst) {

@@ -17,6 +17,9 @@ Duration Network::LatencyBetween(uint32_t a, uint32_t b) const {
 }
 
 bool Network::IsBlocked(uint32_t a, uint32_t b) const {
+  if (partitions_.empty() && isolated_.empty()) {
+    return false;  // The common case; checked twice per message.
+  }
   if (isolated_.count(a) > 0 || isolated_.count(b) > 0) {
     return true;
   }
@@ -117,28 +120,50 @@ void Network::Route(wire::Endpoint src, wire::Endpoint dst, wire::Message msg) {
       front = arrival;
     }
   }
-  cluster_.scheduler().ScheduleAt(
-      arrival, [this, src, dst, msg = std::move(msg)]() mutable {
-        Node* node = cluster_.FindNode(dst.host);
-        if (node == nullptr || !node->alive() || IsBlocked(src.host, dst.host)) {
-          ++*c_msg_dropped_;
-          return;
-        }
-        SimTransport* transport = node->TransportAt(dst.port);
-        if (transport == nullptr || !transport->has_receiver()) {
-          // Connection-refused: the process is gone. Requests get a NACK so
-          // callers learn immediately that the reference is dead (paper
-          // Section 3.2.1); stray replies are dropped.
-          if (msg.kind == wire::MsgKind::kRequest) {
-            wire::Message nack;
-            nack.kind = wire::MsgKind::kNack;
-            nack.call_id = msg.call_id;
-            Route(dst, src, std::move(nack));
-          }
-          return;
-        }
-        transport->Deliver(std::move(msg));
-      });
+  if (free_in_flight_.empty()) {
+    free_in_flight_.push_back(static_cast<uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
+  }
+  uint32_t index = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  InFlight& entry = in_flight_[index];
+  entry.src = src;
+  entry.dst = dst;
+  entry.msg = std::move(msg);
+  auto arrive = [this, index] { Deliver(index); };
+  static_assert(UniqueFn::kStoresInline<decltype(arrive)>,
+                "a message's arrival event must not heap-allocate");
+  cluster_.scheduler().ScheduleAt(arrival, arrive);
+}
+
+void Network::Deliver(uint32_t index) {
+  // Take the message and free the entry first: a NACK below, or the
+  // receiver, may Route() again and reuse it.
+  InFlight& entry = in_flight_[index];
+  wire::Endpoint src = entry.src;
+  wire::Endpoint dst = entry.dst;
+  wire::Message msg = std::move(entry.msg);
+  free_in_flight_.push_back(index);
+
+  Node* node = cluster_.FindNode(dst.host);
+  if (node == nullptr || !node->alive() || IsBlocked(src.host, dst.host)) {
+    ++*c_msg_dropped_;
+    return;
+  }
+  SimTransport* transport = node->TransportAt(dst.port);
+  if (transport == nullptr || !transport->has_receiver()) {
+    // Connection-refused: the process is gone. Requests get a NACK so
+    // callers learn immediately that the reference is dead (paper
+    // Section 3.2.1); stray replies are dropped.
+    if (msg.kind == wire::MsgKind::kRequest) {
+      wire::Message nack;
+      nack.kind = wire::MsgKind::kNack;
+      nack.call_id = msg.call_id;
+      Route(dst, src, std::move(nack));
+    }
+    return;
+  }
+  transport->Deliver(std::move(msg));
 }
 
 // --- SimTransport ------------------------------------------------------------
@@ -189,7 +214,8 @@ void Process::DoKill(ExitReason reason) {
   }
   alive_ = false;
 
-  // 1. No more timers fire into this process's objects.
+  // 1. No more timers fire into this process's objects (step 5 repeats this
+  //    for timers the teardown itself schedules).
   executor_.CancelAll();
   // 2. No more messages are delivered; in-flight requests will be NACKed.
   node_.ports_.erase(port_);
@@ -200,7 +226,10 @@ void Process::DoKill(ExitReason reason) {
   }
   // 4. Tear down the ORB.
   runtime_.reset();
-  // 5. Notify local watchers (the SSC's wait()); deferred so it never runs in
+  // 5. A destructor above may have scheduled on this executor; the process
+  //    is about to be freed, so nothing of it may stay armed.
+  executor_.CancelAll();
+  // 6. Notify local watchers (the SSC's wait()); deferred so it never runs in
   //    the middle of this teardown.
   for (ExitWatcher& watcher : exit_watchers_) {
     cluster_.scheduler().Post(
@@ -322,29 +351,40 @@ Cluster::Cluster(NetworkOptions network_options)
 
 Cluster::~Cluster() { SetLogTimeSource(nullptr); }
 
+namespace {
+bool HostBelow(const std::unique_ptr<Node>& node, uint32_t host) {
+  return node->host() < host;
+}
+}  // namespace
+
+Node& Cluster::AddNode(NodeKind kind, std::string name, uint32_t host) {
+  auto it = std::lower_bound(nodes_.begin(), nodes_.end(), host, HostBelow);
+  ITV_CHECK(it == nodes_.end() || (*it)->host() != host)
+      << "host " << host << " added twice";
+  it = nodes_.insert(
+      it, std::make_unique<Node>(*this, kind, std::move(name), host));
+  return **it;
+}
+
 Node& Cluster::AddServer(const std::string& name) {
-  uint32_t host = MakeServerHost(next_server_index_++);
-  auto node = std::make_unique<Node>(*this, NodeKind::kServer, name, host);
-  Node* raw = node.get();
-  nodes_[host] = std::move(node);
-  servers_.push_back(raw);
-  return *raw;
+  Node& node = AddNode(NodeKind::kServer, name,
+                       MakeServerHost(next_server_index_++));
+  servers_.push_back(&node);
+  return node;
 }
 
 Node& Cluster::AddSettop(uint8_t neighborhood) {
   uint16_t index = ++next_settop_index_[neighborhood];
-  uint32_t host = MakeSettopHost(neighborhood, index);
-  std::string name = StrFormat("settop-%u-%u", neighborhood, index);
-  auto node = std::make_unique<Node>(*this, NodeKind::kSettop, name, host);
-  Node* raw = node.get();
-  nodes_[host] = std::move(node);
-  settops_.push_back(raw);
-  return *raw;
+  Node& node = AddNode(NodeKind::kSettop,
+                       StrFormat("settop-%u-%u", neighborhood, index),
+                       MakeSettopHost(neighborhood, index));
+  settops_.push_back(&node);
+  return node;
 }
 
 Node* Cluster::FindNode(uint32_t host) {
-  auto it = nodes_.find(host);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  auto it = std::lower_bound(nodes_.begin(), nodes_.end(), host, HostBelow);
+  return it != nodes_.end() && (*it)->host() == host ? it->get() : nullptr;
 }
 
 Process* Cluster::FindProcessGlobal(uint64_t pid) {
@@ -361,7 +401,7 @@ Process* Cluster::ProcessAtEndpoint(const wire::Endpoint& endpoint) {
 }
 
 void Cluster::ForEachProcess(const std::function<void(Process&)>& fn) {
-  for (auto& [host, node] : nodes_) {
+  for (auto& node : nodes_) {
     node->ForEachProcess(fn);
   }
 }

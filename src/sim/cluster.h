@@ -17,6 +17,7 @@
 #define SRC_SIM_CLUSTER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -126,7 +127,18 @@ class Network {
   void SetTap(Tap tap) { tap_ = std::move(tap); }
 
  private:
+  // A routed message waiting for its arrival event.
+  struct InFlight {
+    wire::Endpoint src;
+    wire::Endpoint dst;
+    wire::Message msg;
+  };
+
   Duration LatencyBetween(uint32_t a, uint32_t b) const;
+
+  // The arrival event of in_flight_[index]: frees the entry, then delivers,
+  // drops or NACKs the message.
+  void Deliver(uint32_t index);
 
   // Canonical (unordered) key for a host pair: every partition insert, erase
   // and lookup goes through this, which is what makes partitions symmetric.
@@ -145,6 +157,12 @@ class Network {
   NetworkFaultOptions faults_;
   Rng fault_rng_;
   std::map<std::pair<uint32_t, uint32_t>, Time> link_front_;
+
+  // Messages in flight. A deque never moves its elements, and freed entries
+  // are reused, so a message costs no allocation of its own and its arrival
+  // event captures only an index (stored inline in the scheduler slot).
+  std::deque<InFlight> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
 
   // Hot-path counters, interned on first Route() (the cluster metrics
   // object outlives the network).
@@ -190,48 +208,31 @@ class SimTransport : public rpc::Transport {
 };
 
 // --- Per-process executor ----------------------------------------------------
-// Wraps the cluster scheduler and remembers outstanding timers so a process
-// kill cancels everything the process had scheduled (no zombie callbacks into
-// destroyed service objects).
+// The process's view of the cluster scheduler. Every timer it schedules is
+// owned by it (Scheduler::ScheduleOwned), so the callback runs under the
+// process's log identity and a process kill cancels everything the process
+// had scheduled (no zombie callbacks into destroyed service objects) without
+// any per-timer bookkeeping here.
 
-class ProcessExecutor : public Executor {
+class ProcessExecutor : public Executor, private Scheduler::Owner {
  public:
   explicit ProcessExecutor(Scheduler& scheduler) : scheduler_(scheduler) {}
 
   Time Now() const override { return scheduler_.Now(); }
 
   TimerId ScheduleAt(Time when, UniqueFn fn) override {
-    auto id_slot = std::make_shared<TimerId>(kInvalidTimerId);
-    TimerId id = scheduler_.ScheduleAt(
-        when, [this, id_slot, fn = std::move(fn)]() mutable {
-          live_.erase(*id_slot);
-          ScopedLogIdentity scoped(identity_);
-          fn();
-        });
-    *id_slot = id;
-    live_.insert(id);
-    return id;
+    return scheduler_.ScheduleOwned(when, std::move(fn), this);
   }
 
   // Identity stamped onto log lines emitted from this process's callbacks.
-  void set_identity(const std::string* identity) { identity_ = identity; }
+  void set_identity(const std::string* identity) { log_identity = identity; }
 
-  bool Cancel(TimerId id) override {
-    live_.erase(id);
-    return scheduler_.Cancel(id);
-  }
+  bool Cancel(TimerId id) override { return scheduler_.Cancel(id); }
 
-  void CancelAll() {
-    for (TimerId id : live_) {
-      scheduler_.Cancel(id);
-    }
-    live_.clear();
-  }
+  void CancelAll() { scheduler_.CancelOwned(this); }
 
  private:
   Scheduler& scheduler_;
-  std::unordered_set<TimerId> live_;
-  const std::string* identity_ = nullptr;
 };
 
 // --- Process -----------------------------------------------------------------
@@ -407,6 +408,7 @@ class Cluster {
   friend class Process;
   friend class Node;
 
+  Node& AddNode(NodeKind kind, std::string name, uint32_t host);
   void RegisterProcess(Process* p);
   void UnregisterProcess(uint64_t pid);
 
@@ -416,7 +418,9 @@ class Cluster {
   Network network_;
   uint8_t next_server_index_ = 1;
   std::map<uint8_t, uint16_t> next_settop_index_;
-  std::map<uint32_t, std::unique_ptr<Node>> nodes_;
+  // Sorted by host: FindNode() binary-searches it on every delivery, and
+  // ForEachProcess() visits nodes in host order.
+  std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Node*> servers_;
   std::vector<Node*> settops_;
   std::unordered_map<uint64_t, Process*> process_index_;

@@ -18,6 +18,10 @@ constexpr size_t kArity = 4;
 }  // namespace
 
 TimerId Scheduler::ScheduleAt(Time when, UniqueFn fn) {
+  return ScheduleOwned(when, std::move(fn), nullptr);
+}
+
+TimerId Scheduler::ScheduleOwned(Time when, UniqueFn fn, const Owner* owner) {
   ITV_CHECK(fn != nullptr);
   ITV_CHECK(next_seq_ < kMaxSeq);
   if (when < now_) {
@@ -36,6 +40,7 @@ TimerId Scheduler::ScheduleAt(Time when, UniqueFn fn) {
   }
   Slot& slot = SlotAt(index);
   slot.armed = true;
+  slot.owner = owner;
   slot.fn = std::move(fn);
   heap_.push_back(HeapEntry{when.nanos(), (next_seq_++ << 24) | index});
   SiftUp(heap_.size() - 1);
@@ -56,8 +61,29 @@ bool Scheduler::Cancel(TimerId id) {
   if (!slot.armed || slot.generation != generation) {
     return false;
   }
+  Disarm(index);
+  return true;
+}
+
+void Scheduler::CancelOwned(const Owner* owner) {
+  // Collect first: a Disarm() may compact, which reorders the heap (but only
+  // frees slots that were already disarmed, never the ones collected here).
+  std::vector<uint32_t> owned;
+  for (const HeapEntry& entry : heap_) {
+    const Slot& slot = SlotAt(entry.slot());
+    if (slot.armed && slot.owner == owner) {
+      owned.push_back(entry.slot());
+    }
+  }
+  for (uint32_t index : owned) {
+    Disarm(index);
+  }
+}
+
+void Scheduler::Disarm(uint32_t index) {
   // O(1): disarm and destroy the callback; the heap entry stays behind as a
   // tombstone until it surfaces or the sweep below reclaims it.
+  Slot& slot = SlotAt(index);
   slot.armed = false;
   slot.fn.Reset();
   --live_;
@@ -65,7 +91,6 @@ bool Scheduler::Cancel(TimerId id) {
   if (dead_ * 2 >= heap_.size()) {
     Compact();
   }
-  return true;
 }
 
 void Scheduler::SiftUp(size_t pos) {
@@ -157,13 +182,19 @@ void Scheduler::RunOne() {
     return;  // Cancelled.
   }
   UniqueFn fn = std::move(slot.fn);
+  const Owner* owner = slot.owner;
   // Release the slot before running: the callback may schedule (reusing this
   // slot) or attempt a stale Cancel() of its own id (generation mismatch).
   --live_;
   FreeSlot(top.slot());
   now_ = Time::FromNanos(top.when_ns);
   ++executed_;
-  fn();
+  if (owner != nullptr) {
+    ScopedLogIdentity scoped(owner->log_identity);
+    fn();
+  } else {
+    fn();
+  }
 }
 
 void Scheduler::RunUntil(Time deadline) {

@@ -18,12 +18,18 @@
 // in the common case. TimerIds encode (generation << 32 | slot + 1);
 // generations bump on slot reuse so a stale Cancel() of a fired timer returns
 // false instead of killing the slot's new tenant.
+//
+// A slot may name an Owner (a simulated process): the owner's log identity is
+// installed around the callback, and CancelOwned() disarms every timer the
+// owner has pending, so a killed process needs no timer bookkeeping of its
+// own.
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/executor.h"
@@ -34,10 +40,23 @@ class Scheduler : public Executor {
  public:
   Scheduler() = default;
 
+  // What owned timers are grouped by; see ScheduleOwned().
+  struct Owner {
+    // Installed as CurrentLogIdentity() around each owned callback.
+    const std::string* log_identity = nullptr;
+  };
+
   Time Now() const override { return now_; }
 
   TimerId ScheduleAt(Time when, UniqueFn fn) override;
   bool Cancel(TimerId id) override;
+
+  // ScheduleAt() for a timer that belongs to `owner`: it runs under the
+  // owner's log identity, and CancelOwned(owner) cancels it.
+  TimerId ScheduleOwned(Time when, UniqueFn fn, const Owner* owner);
+  // Cancels every pending timer of `owner`. O(pending events); meant for
+  // process teardown, which is rare.
+  void CancelOwned(const Owner* owner);
 
   // Runs events until (and including) virtual time `deadline`.
   void RunUntil(Time deadline);
@@ -62,8 +81,14 @@ class Scheduler : public Executor {
   struct Slot {
     uint32_t generation = 0;
     bool armed = false;  // false: free, or a cancelled tombstone.
+    // Fills the padding before the 16-byte-aligned UniqueFn; meaningful only
+    // while armed.
+    const Owner* owner = nullptr;
     UniqueFn fn;
   };
+  // Every pending event holds a slot: a field that grows Slot must be a
+  // deliberate choice that also updates this bound.
+  static_assert(sizeof(Slot) <= 160, "Scheduler::Slot grew past 160 bytes");
 
   // Heap entries are self-contained 16-byte values: comparisons never touch
   // the slot pool. seq lives in the high 40 bits of seq_slot and the slot
@@ -100,6 +125,9 @@ class Scheduler : public Executor {
 
   // Removes and returns the heap top.
   HeapEntry PopTop();
+
+  // Disarms an armed slot, leaving its heap entry as a tombstone.
+  void Disarm(uint32_t index);
 
   // Returns the slot to the pool with a bumped generation.
   void FreeSlot(uint32_t index);

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/sim/cluster.h"
 #include "src/sim/scheduler.h"
 
@@ -199,6 +201,46 @@ TEST(SchedulerTest, MoveOnlyCallbacksAreSupported) {
   EXPECT_EQ(seen, 42);
 }
 
+TEST(SchedulerTest, CancelOwnedCancelsAllOfOneOwnerAcrossCompactions) {
+  Scheduler s;
+  const std::string a_name = "node/a";
+  Scheduler::Owner a{&a_name};
+  Scheduler::Owner b;
+  int a_fired = 0;
+  int b_fired = 0;
+  int bare_fired = 0;
+  const std::string* a_identity = nullptr;
+  // Interleaved, so the owner's entries are spread through the heap; its
+  // cancels reach half the heap several times, and each compaction
+  // reorders the heap in the middle of CancelOwned.
+  auto a_timer = [&] {
+    ++a_fired;
+    a_identity = CurrentLogIdentity();
+  };
+  auto b_timer = [&] { ++b_fired; };
+  for (int i = 0; i < 100; ++i) {
+    s.ScheduleOwned(Time::FromNanos(1000 + i), a_timer, &a);
+    if (i % 5 == 0) {
+      s.ScheduleOwned(Time::FromNanos(500 + i), b_timer, &b);
+    }
+    if (i % 10 == 0) {
+      s.ScheduleAt(Time::FromNanos(2000 - i), [&] { ++bare_fired; });
+    }
+  }
+  s.ScheduleOwned(Time::FromNanos(3000), a_timer, &a);
+  s.RunUntil(Time::FromNanos(1000));  // One of a's timers fires.
+  EXPECT_EQ(a_fired, 1);
+  EXPECT_EQ(a_identity, &a_name);
+  EXPECT_EQ(b_fired, 20);
+
+  s.CancelOwned(&a);
+  EXPECT_GE(s.compactions(), 1u);
+  EXPECT_EQ(s.pending_events(), 10u);
+  s.RunUntilIdle();
+  EXPECT_EQ(a_fired, 1);
+  EXPECT_EQ(bare_fired, 10);
+}
+
 TEST(AddressingTest, ServerAndSettopHostEncoding) {
   uint32_t server = MakeServerHost(3);
   EXPECT_TRUE(IsServerHost(server));
@@ -343,6 +385,137 @@ TEST(ClusterTest, ProcessTimersCancelledOnKill) {
   EXPECT_FALSE(fired);
 }
 
+TEST(ClusterTest, KillCancelsOnlyTheKilledProcessesTimers) {
+  Cluster c;
+  Node& n = c.AddServer("forge");
+  Process& victim = n.Spawn("victim");
+  Process& sibling = n.Spawn("sibling");
+  int victim_fired = 0;
+  int sibling_fired = 0;
+  TimerId victim_timer = victim.executor().ScheduleAfter(
+      Duration::Seconds(1), [&] { ++victim_fired; });
+  victim.executor().ScheduleAfter(Duration::Seconds(2),
+                                  [&] { ++victim_fired; });
+  for (int i = 1; i <= 3; ++i) {
+    sibling.executor().ScheduleAfter(Duration::Seconds(i),
+                                     [&] { ++sibling_fired; });
+  }
+  TimerId sibling_timer = sibling.executor().ScheduleAfter(
+      Duration::Seconds(4), [&] { ++sibling_fired; });
+
+  n.Kill(victim.pid());
+  c.RunFor(Duration::Millis(1));  // The kill, nothing else.
+  EXPECT_EQ(n.process_count(), 1u);
+  EXPECT_FALSE(c.scheduler().Cancel(victim_timer));
+  EXPECT_EQ(c.scheduler().pending_events(), 4u);
+
+  c.RunFor(Duration::Seconds(3));
+  EXPECT_EQ(victim_fired, 0);
+  EXPECT_EQ(sibling_fired, 3);
+  EXPECT_FALSE(c.scheduler().Cancel(victim_timer));
+  EXPECT_TRUE(sibling.executor().Cancel(sibling_timer));
+  EXPECT_EQ(c.scheduler().pending_events(), 0u);
+}
+
+TEST(ClusterTest, NodeCrashCancelsTheTimersOfEveryProcessOnIt) {
+  Cluster c;
+  Node& n = c.AddServer("forge");
+  Node& other = c.AddServer("kiln");
+  int fired_on_crashed = 0;
+  int fired_elsewhere = 0;
+  for (const char* name : {"a", "b", "c"}) {
+    Process& p = n.Spawn(name);
+    p.executor().ScheduleAfter(Duration::Seconds(1),
+                               [&] { ++fired_on_crashed; });
+    p.executor().ScheduleAfter(Duration::Seconds(3),
+                               [&] { ++fired_on_crashed; });
+  }
+  other.Spawn("d").executor().ScheduleAfter(Duration::Seconds(2),
+                                            [&] { ++fired_elsewhere; });
+  n.Crash();
+  c.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(fired_on_crashed, 0);
+  EXPECT_EQ(fired_elsewhere, 1);
+  EXPECT_EQ(c.scheduler().pending_events(), 0u);
+}
+
+TEST(ClusterTest, TimersScheduledDuringTeardownAreCancelled) {
+  // A service object whose destructor schedules on its process's executor:
+  // the process is freed right after teardown, so the timer must not stay
+  // armed (it would run into a destroyed process).
+  struct PostsOnDestroy {
+    PostsOnDestroy(Executor& executor, bool* fired)
+        : executor(executor), fired(fired) {}
+    ~PostsOnDestroy() {
+      executor.ScheduleAfter(Duration::Seconds(1),
+                             [fired = fired] { *fired = true; });
+    }
+    Executor& executor;
+    bool* fired;
+  };
+  Cluster c;
+  Node& n = c.AddServer("forge");
+  Process& p = n.Spawn("svc");
+  bool fired = false;
+  p.Emplace<PostsOnDestroy>(p.executor(), &fired);
+  n.Kill(p.pid());
+  c.RunFor(Duration::Seconds(5));
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(c.scheduler().pending_events(), 0u);
+}
+
+TEST(ClusterTest, ProcessCallbacksRunUnderTheProcessLogIdentity) {
+  Cluster c;
+  Process& tx = c.AddServer("forge").Spawn("tx");
+  Process& rx = c.AddServer("kiln").Spawn("rx");
+  const std::string kNotRun = "not run";
+  const std::string* timer_identity = &kNotRun;
+  const std::string* delivery_identity = &kNotRun;
+  const std::string* bare_identity = &kNotRun;
+  const std::string* nested_bare_identity = &kNotRun;
+  tx.executor().ScheduleAfter(Duration::Millis(1), [&] {
+    timer_identity = CurrentLogIdentity();
+    // A scheduler event posted from process code belongs to no process.
+    c.scheduler().Post([&] { nested_bare_identity = CurrentLogIdentity(); });
+  });
+  rx.transport().SetReceiver(
+      [&](wire::Message) { delivery_identity = CurrentLogIdentity(); });
+  c.scheduler().ScheduleAt(c.Now() + Duration::Millis(2),
+                           [&] { bare_identity = CurrentLogIdentity(); });
+  tx.transport().Send(rx.endpoint(), wire::Message{});
+  c.RunFor(Duration::Seconds(1));
+
+  EXPECT_EQ(timer_identity, &tx.log_identity());
+  EXPECT_EQ(tx.log_identity(), "forge/tx");
+  EXPECT_EQ(delivery_identity, &rx.log_identity());
+  EXPECT_EQ(bare_identity, nullptr);
+  EXPECT_EQ(nested_bare_identity, nullptr);
+  EXPECT_EQ(CurrentLogIdentity(), nullptr);
+}
+
+TEST(ClusterTest, FindNodeAndForEachProcessFollowHostOrder) {
+  Cluster c;
+  // Added out of host order: settops of neighborhood 2 before 1, servers in
+  // between.
+  std::vector<Node*> added = {&c.AddSettop(2), &c.AddServer("a"),
+                              &c.AddSettop(1), &c.AddServer("b"),
+                              &c.AddSettop(2)};
+  std::vector<uint32_t> hosts;
+  for (Node* node : added) {
+    EXPECT_EQ(c.FindNode(node->host()), node);
+    node->Spawn("p");
+    hosts.push_back(node->host());
+  }
+  EXPECT_EQ(c.FindNode(MakeServerHost(200)), nullptr);
+  EXPECT_EQ(c.FindNode(MakeSettopHost(3, 1)), nullptr);
+  EXPECT_EQ(c.FindNode(0), nullptr);
+
+  std::vector<uint32_t> visited;
+  c.ForEachProcess([&](Process& p) { visited.push_back(p.host()); });
+  std::sort(hosts.begin(), hosts.end());
+  EXPECT_EQ(visited, hosts);
+}
+
 TEST(NetworkTest, PartitionBookkeeping) {
   Cluster c;
   Network& net = c.network();
@@ -404,6 +577,94 @@ struct FaultRig {
     }
   }
 };
+
+TEST(NetworkTest, EqualTimeMessagesOnOneLinkArriveInSendOrder) {
+  Cluster c;
+  Process& tx = c.AddServer("a").Spawn("tx");
+  Process& rx = c.AddServer("b").Spawn("rx");
+  std::vector<uint64_t> ids;
+  std::vector<wire::Bytes> payloads;
+  rx.transport().SetReceiver([&](wire::Message m) {
+    ids.push_back(m.call_id);
+    payloads.push_back(std::move(m.payload));
+  });
+  constexpr uint64_t kCount = 1000;
+  for (uint64_t i = 1; i <= kCount; ++i) {
+    wire::Message m;
+    m.call_id = i;
+    m.payload = wire::Bytes(i % 17, static_cast<uint8_t>(i));
+    tx.transport().Send(rx.endpoint(), std::move(m));
+  }
+  c.RunFor(Duration::Seconds(1));
+  ASSERT_EQ(ids.size(), kCount);
+  for (uint64_t i = 1; i <= kCount; ++i) {
+    EXPECT_EQ(ids[i - 1], i);
+    EXPECT_EQ(payloads[i - 1], wire::Bytes(i % 17, static_cast<uint8_t>(i)));
+  }
+}
+
+TEST(NetworkTest, RequestToDeadPortIsNackedAmidManyInFlight) {
+  Cluster c;
+  Process& tx = c.AddServer("a").Spawn("tx");
+  Node& far = c.AddServer("b");
+  Process& echo = far.Spawn("echo");
+  // The echo replies from inside its delivery, so replies reuse the
+  // in-flight entries the requests just freed.
+  echo.transport().SetReceiver([&](wire::Message m) {
+    wire::Message reply;
+    reply.kind = wire::MsgKind::kReply;
+    reply.call_id = m.call_id;
+    reply.payload = std::move(m.payload);
+    echo.transport().Send(m.source, std::move(reply));
+  });
+  struct Seen {
+    wire::MsgKind kind;
+    uint64_t call_id;
+    wire::Bytes payload;
+  };
+  std::vector<Seen> seen;
+  tx.transport().SetReceiver([&](wire::Message m) {
+    seen.push_back(Seen{m.kind, m.call_id, std::move(m.payload)});
+  });
+  constexpr uint64_t kCount = 200;
+  constexpr uint64_t kDeadCall = 9999;
+  auto payload_of = [](uint64_t i) {
+    return wire::Bytes(8 + i % 5, static_cast<uint8_t>(i * 7));
+  };
+  for (uint64_t i = 1; i <= kCount; ++i) {
+    wire::Message m;
+    m.call_id = i;
+    m.payload = payload_of(i);
+    tx.transport().Send(echo.endpoint(), std::move(m));
+    if (i == kCount / 2) {
+      wire::Message dead;
+      dead.call_id = kDeadCall;
+      dead.payload = wire::Bytes(64, 0xee);
+      tx.transport().Send(wire::Endpoint{far.host(), 4242}, std::move(dead));
+    }
+  }
+  c.RunFor(Duration::Seconds(1));
+
+  // Every request left at t=0, so every answer lands at the same instant,
+  // in the order the requests were delivered: the NACK sits between the
+  // replies to request kCount / 2 and kCount / 2 + 1.
+  ASSERT_EQ(seen.size(), kCount + 1);
+  size_t pos = 0;
+  for (uint64_t i = 1; i <= kCount; ++i) {
+    EXPECT_EQ(seen[pos].kind, wire::MsgKind::kReply);
+    EXPECT_EQ(seen[pos].call_id, i);
+    EXPECT_EQ(seen[pos].payload, payload_of(i));
+    ++pos;
+    if (i == kCount / 2) {
+      EXPECT_EQ(seen[pos].kind, wire::MsgKind::kNack);
+      EXPECT_EQ(seen[pos].call_id, kDeadCall);
+      EXPECT_TRUE(seen[pos].payload.empty());
+      ++pos;
+    }
+  }
+  EXPECT_EQ(c.metrics().Get("net.msg.total"), 2 * (kCount + 1));
+  EXPECT_EQ(c.metrics().Get("net.msg.dropped"), 0u);
+}
 
 TEST(NetworkFaultTest, DelayBurstStretchesLinkButPreservesFifo) {
   FaultRig rig;
