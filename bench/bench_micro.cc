@@ -188,8 +188,10 @@ class PingSkeleton : public rpc::Skeleton {
   std::string_view interface_name() const override { return "itv.Ping"; }
   void Dispatch(uint32_t, const wire::Bytes&, const rpc::CallContext&,
                 rpc::ReplyFn reply) override {
+    ++calls;
     rpc::ReplyOk(reply);
   }
+  uint64_t calls = 0;
 };
 
 void BM_SimRpcRoundTrip(benchmark::State& state) {
@@ -210,6 +212,27 @@ void BM_SimRpcRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimRpcRoundTrip);
+
+// The same call one-way: one message, no pending entry, no timeout timer.
+void BM_SimRpcPost(benchmark::State& state) {
+  sim::Cluster cluster;
+  sim::Node& a = cluster.AddServer("a");
+  sim::Node& b = cluster.AddServer("b");
+  sim::Process& server = a.Spawn("server", 700);
+  sim::Process& client = b.Spawn("client");
+  auto* skeleton = server.Emplace<PingSkeleton>();
+  wire::ObjectRef ref = server.runtime().Export(skeleton);
+  for (auto _ : state) {
+    uint64_t before = skeleton->calls;
+    client.runtime().Post(ref, 1, {});
+    cluster.RunFor(Duration::Millis(10));
+    if (skeleton->calls != before + 1) {
+      state.SkipWithError("post not dispatched");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_SimRpcPost);
 
 // --- Report section ----------------------------------------------------------
 // Hand-timed numbers for the merged bench report (bench_report.h); the

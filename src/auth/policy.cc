@@ -8,7 +8,10 @@ namespace itv::auth {
 
 namespace {
 
-// Distinct stream-cipher nonces for the two directions of one call.
+// Distinct stream-cipher nonces for the two directions of one call. The
+// doubling drops wire::kOneWayCallBit, which is safe because one-way and
+// two-way requests draw their ids from one counter: the low 63 bits never
+// repeat under one session key.
 uint64_t RequestNonce(uint64_t call_id) { return call_id * 2; }
 uint64_t ReplyNonce(uint64_t call_id) { return call_id * 2 + 1; }
 

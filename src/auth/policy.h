@@ -16,7 +16,8 @@
 //
 // Encryption (`encrypt_calls`) XORs the payload with a ChaCha20 keystream
 // keyed by the session key and the call id (requests and replies use
-// distinct nonces); signing covers the ciphertext (encrypt-then-MAC).
+// distinct nonces; one-way requests have unique call ids like any other);
+// signing covers the ciphertext (encrypt-then-MAC).
 
 #ifndef SRC_AUTH_POLICY_H_
 #define SRC_AUTH_POLICY_H_

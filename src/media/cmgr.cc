@@ -387,9 +387,7 @@ void CmgrService::RefreshStandbys() {
           if (!known) {
             for (const auto& [id, grant] : connections_) {
               Count("cmgr.state_push");
-              CmgrProxy(runtime_, standby)
-                  .ApplyReplica(1, grant)
-                  .OnReady([](const Result<void>&) {});
+              CmgrProxy(runtime_, standby).PushReplica(1, grant);
             }
           }
         }
@@ -400,8 +398,7 @@ void CmgrService::RefreshStandbys() {
 void CmgrService::PushToStandbys(uint8_t op, const ConnectionGrant& grant) {
   for (const wire::ObjectRef& standby : standbys_) {
     Count("cmgr.state_push");
-    CmgrProxy(runtime_, standby).ApplyReplica(op, grant).OnReady(
-        [](const Result<void>&) {});
+    CmgrProxy(runtime_, standby).PushReplica(op, grant);
   }
 }
 

@@ -11,7 +11,9 @@
 // The connection manager is one of the two services in the system that keep
 // replicated state (Section 10.1.1): the neighborhood primary pushes every
 // allocate/release to its standby replicas, so a promoted backup carries the
-// allocation table forward.
+// allocation table forward. The pushes are one-way (PushReplica): the
+// primary never acts on a standby's answer. A restarted standby has a new
+// reference, so the primary's next standby refresh sends it a full copy.
 
 #ifndef SRC_MEDIA_CMGR_H_
 #define SRC_MEDIA_CMGR_H_
@@ -66,7 +68,7 @@ enum CmgrMethod : uint32_t {
   kCmgrMethodAllocate = 1,
   kCmgrMethodRelease = 2,
   kCmgrMethodListConnections = 3,
-  kCmgrMethodApplyReplica = 4,   // Primary -> standby state push.
+  kCmgrMethodApplyReplica = 4,   // Primary -> standby push; grant handoff.
   kCmgrMethodSettopUsage = 5,
   kCmgrMethodAccounting = 6,
 };
@@ -149,9 +151,15 @@ class CmgrProxy : public rpc::Proxy {
     return rpc::DecodeReply<int64_t>(
         Call(kCmgrMethodSettopUsage, rpc::EncodeArgs(settop_host)));
   }
+  // Applies `op` (1 = allocate, 2 = release) to the target's table. The
+  // two-way form is for a grant handoff, which erases only on the ack.
   Future<void> ApplyReplica(uint8_t op, const ConnectionGrant& grant) const {
     return rpc::DecodeEmptyReply(
         Call(kCmgrMethodApplyReplica, rpc::EncodeArgs(op, grant)));
+  }
+  // The same method, one-way: a primary's push to its standbys.
+  void PushReplica(uint8_t op, const ConnectionGrant& grant) const {
+    Post(kCmgrMethodApplyReplica, rpc::EncodeArgs(op, grant));
   }
   Future<AccountingRecord> Accounting(uint32_t settop_host) const {
     return rpc::DecodeReply<AccountingRecord>(

@@ -88,13 +88,12 @@ class MdsService::MovieObject : public rpc::Skeleton {
     if (position_bytes_ >= info_.size_bytes) {
       position_bytes_ = info_.size_bytes;
       ticker_.Stop();
-      sink.OnEndOfStream(stream_id_).OnReady([](const Result<void>&) {});
+      sink.OnEndOfStream(stream_id_);
       mds_.Count("mds.end_of_stream");
       return;
     }
     mds_.Count("mds.chunk_sent");
-    sink.OnData(stream_id_, position_bytes_, static_cast<uint32_t>(chunk))
-        .OnReady([](const Result<void>&) {});
+    sink.OnData(stream_id_, position_bytes_, static_cast<uint32_t>(chunk));
   }
 
   MdsService& mds_;

@@ -4,10 +4,11 @@
 //
 // The MDS is the system's only service that dynamically creates objects
 // (Section 9.2): every open mints a Movie object, which the settop drives
-// directly (play/pause/position). Delivery is simulated as periodic OnData
-// invocations on the settop's MediaSink at the movie's bitrate — the paper's
+// directly (play/pause/position). Delivery is simulated as periodic one-way
+// OnData calls on the settop's MediaSink at the movie's bitrate — the paper's
 // evaluation depends on placement, admission and failure behaviour, not on
-// actual MPEG bytes (see DESIGN.md substitutions).
+// actual MPEG bytes (see DESIGN.md substitutions). Like a real CBR stream,
+// nothing is acknowledged: the settop detects a dead stream by the gap.
 
 #ifndef SRC_MEDIA_MDS_H_
 #define SRC_MEDIA_MDS_H_

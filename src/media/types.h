@@ -62,10 +62,11 @@ inline void WireRead(wire::Reader& r, ConnectionGrant* c) {
 }
 
 // --- MediaSink -------------------------------------------------------------------
-// The settop-side object that receives stream data. The MDS invokes OnData
+// The settop-side object that receives stream data. The MDS posts OnData
 // periodically while a movie plays; a gap in arrivals is how the settop
 // application detects an MDS/server crash (paper Section 3.5.2: "the
-// application detects the failure when it stops receiving data").
+// application detects the failure when it stops receiving data"). Both
+// methods are one-way: the MDS never learns whether a chunk arrived.
 
 inline constexpr std::string_view kMediaSinkInterface = "itv.MediaSink";
 
@@ -77,14 +78,11 @@ enum MediaSinkMethod : uint32_t {
 class MediaSinkProxy : public rpc::Proxy {
  public:
   using Proxy::Proxy;
-  Future<void> OnData(uint64_t stream_id, int64_t position_bytes,
-                      uint32_t chunk_bytes) const {
-    return rpc::DecodeEmptyReply(Call(
-        kSinkMethodOnData, rpc::EncodeArgs(stream_id, position_bytes, chunk_bytes)));
+  void OnData(uint64_t stream_id, int64_t position_bytes, uint32_t chunk_bytes) const {
+    Post(kSinkMethodOnData, rpc::EncodeArgs(stream_id, position_bytes, chunk_bytes));
   }
-  Future<void> OnEndOfStream(uint64_t stream_id) const {
-    return rpc::DecodeEmptyReply(
-        Call(kSinkMethodOnEndOfStream, rpc::EncodeArgs(stream_id)));
+  void OnEndOfStream(uint64_t stream_id) const {
+    Post(kSinkMethodOnEndOfStream, rpc::EncodeArgs(stream_id));
   }
 };
 

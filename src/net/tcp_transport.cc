@@ -170,13 +170,16 @@ void TcpTransport::Send(const wire::Endpoint& dst, wire::Message msg) {
   } else {
     conn = ConnectTo(dst);
   }
+  // Only two-way requests await an answer; one-way requests are never
+  // NACKed.
+  bool awaits_answer = msg.kind == wire::MsgKind::kRequest && !wire::IsOneWay(msg);
   if (conn == nullptr) {
-    if (msg.kind == wire::MsgKind::kRequest) {
+    if (awaits_answer) {
       DeliverLocalNack(msg.call_id, dst);
     }
     return;
   }
-  if (msg.kind == wire::MsgKind::kRequest) {
+  if (awaits_answer) {
     conn->inflight_requests.push_back(msg.call_id);
   }
   conn->write_queue.push_back(FrameMessage(msg));

@@ -8,9 +8,9 @@
 // and reused in both directions.
 //
 // Failure mapping (mirrors sim::Network):
-//   - connect refused / connection reset with a request in flight -> a
-//     synthesized NACK to our own receiver, so dead implementors are
-//     detected immediately;
+//   - connect refused / connection reset with a two-way request in flight
+//     -> a synthesized NACK to our own receiver, so dead implementors are
+//     detected immediately (one-way requests are never NACKed);
 //   - anything slower (host gone, blackhole) -> the caller's RPC timeout.
 
 #ifndef SRC_NET_TCP_TRANSPORT_H_
@@ -52,8 +52,8 @@ class TcpTransport : public rpc::Transport {
     std::vector<uint8_t> read_buffer;
     std::deque<std::vector<uint8_t>> write_queue;
     size_t write_offset = 0;
-    // Call ids of requests sent on this connection and not yet answered;
-    // used to synthesize NACKs if the connection dies.
+    // Call ids of two-way requests sent on this connection and not yet
+    // answered; used to synthesize NACKs if the connection dies.
     std::vector<uint64_t> inflight_requests;
     wire::Endpoint peer;  // Peer's listening endpoint (when known).
   };

@@ -7,6 +7,23 @@
 
 namespace itv::rpc {
 
+namespace {
+
+wire::Message RequestTo(const wire::ObjectRef& ref, uint64_t call_id, uint32_t method_id,
+                        wire::Bytes args) {
+  wire::Message msg;
+  msg.kind = wire::MsgKind::kRequest;
+  msg.call_id = call_id;
+  msg.object_id = ref.object_id;
+  msg.type_id = ref.type_id;
+  msg.method_id = method_id;
+  msg.target_incarnation = ref.incarnation;
+  msg.payload = std::move(args);
+  return msg;
+}
+
+}  // namespace
+
 ObjectRuntime::ObjectRuntime(Executor& executor, Transport& transport,
                              uint64_t incarnation, SecurityPolicy* policy,
                              Metrics* metrics)
@@ -23,6 +40,7 @@ ObjectRuntime::ObjectRuntime(Executor& executor, Transport& transport,
     c_nack_sent_ = &metrics_->Intern("rpc.nack.sent");
     c_nack_recv_ = &metrics_->Intern("rpc.nack.recv");
     c_timeout_ = &metrics_->Intern("rpc.timeout");
+    c_oneway_sent_ = &metrics_->Intern("rpc.oneway.sent");
   }
   transport_.SetReceiver([this](wire::Message msg) { OnMessage(std::move(msg)); });
 }
@@ -69,14 +87,7 @@ Future<wire::Bytes> ObjectRuntime::Invoke(const wire::ObjectRef& ref,
         InvalidArgumentError("invoke on null object reference"));
   }
 
-  wire::Message msg;
-  msg.kind = wire::MsgKind::kRequest;
-  msg.call_id = next_call_id_++;
-  msg.object_id = ref.object_id;
-  msg.type_id = ref.type_id;
-  msg.method_id = method_id;
-  msg.target_incarnation = ref.incarnation;
-  msg.payload = std::move(args);
+  wire::Message msg = RequestTo(ref, next_call_id_++, method_id, std::move(args));
 
   // Propagate the caller's trace: the request carries a child span of
   // whatever traced operation is on the stack; untraced calls stay untraced
@@ -122,6 +133,27 @@ Future<wire::Bytes> ObjectRuntime::Invoke(const wire::ObjectRef& ref,
   return future;
 }
 
+void ObjectRuntime::Post(const wire::ObjectRef& ref, uint32_t method_id, wire::Bytes args) {
+  if (ref.is_null()) {
+    return;
+  }
+  wire::Message msg = RequestTo(ref, wire::kOneWayCallBit | next_call_id_++, method_id,
+                                std::move(args));
+  // No client span: nothing marks the call's end. The caller's own span is
+  // the parent of the servant's.
+  if (tracer_ != nullptr && tracer_->current().valid()) {
+    msg.trace_id = tracer_->current().trace_id;
+    msg.span_id = tracer_->current().span_id;
+  }
+  if (policy_ != nullptr && !policy_->ProtectRequest(ref.endpoint, &msg).ok()) {
+    CountOneWayDropped();
+    return;
+  }
+  Bump(c_request_sent_);
+  Bump(c_oneway_sent_);
+  transport_.Send(ref.endpoint, std::move(msg));
+}
+
 void ObjectRuntime::OnMessage(wire::Message msg) {
   switch (msg.kind) {
     case wire::MsgKind::kRequest:
@@ -157,13 +189,7 @@ void ObjectRuntime::HandleRequest(wire::Message msg) {
   }
   Skeleton* servant = it->second;
   if (msg.type_id != wire::TypeIdFromName(servant->interface_name())) {
-    wire::Message reply;
-    reply.kind = wire::MsgKind::kReply;
-    reply.call_id = msg.call_id;
-    reply.status = StatusCode::kInvalidArgument;
-    reply.status_message = "interface type mismatch";
-    Bump(c_reply_sent_);
-    transport_.Send(msg.source, std::move(reply));
+    SendError(msg, StatusCode::kInvalidArgument, "interface type mismatch");
     return;
   }
 
@@ -172,13 +198,7 @@ void ObjectRuntime::HandleRequest(wire::Message msg) {
   if (policy_ != nullptr) {
     Result<CallerInfo> admitted = policy_->AdmitRequest(&msg);
     if (!admitted.ok()) {
-      wire::Message reply;
-      reply.kind = wire::MsgKind::kReply;
-      reply.call_id = msg.call_id;
-      reply.status = StatusCode::kPermissionDenied;
-      reply.status_message = admitted.status().message();
-      Bump(c_reply_sent_);
-      transport_.Send(msg.source, std::move(reply));
+      SendError(msg, StatusCode::kPermissionDenied, admitted.status().message());
       return;
     }
     ctx.caller = *admitted;
@@ -195,16 +215,30 @@ void ObjectRuntime::HandleRequest(wire::Message msg) {
     dispatch_begin = tracer_->now();
   }
 
+  std::string span_detail;
+  if (ctx.trace.valid()) {
+    span_detail = StrFormat("%s#%u", std::string(servant->interface_name()).c_str(),
+                            msg.method_id);
+  }
+
+  if (wire::IsOneWay(msg)) {
+    // One-way: the servant's reply goes nowhere, so its span covers the
+    // synchronous dispatch.
+    {
+      trace::ScopedContext scoped(tracer_, ctx.trace);
+      servant->Dispatch(msg.method_id, msg.payload, ctx, [](Status, wire::Bytes) {});
+    }
+    if (ctx.trace.valid()) {
+      tracer_->Span(ctx.trace, "rpc.server", dispatch_begin, std::move(span_detail));
+    }
+    return;
+  }
+
   // Capture what the reply needs; the servant may complete asynchronously.
   wire::Endpoint reply_to = msg.source;
   uint64_t call_id = msg.call_id;
   uint64_t ticket_id = msg.auth.ticket_id;
   trace::TraceContext server_trace = ctx.trace;
-  std::string span_detail;
-  if (server_trace.valid()) {
-    span_detail = StrFormat("%s#%u", std::string(servant->interface_name()).c_str(),
-                            msg.method_id);
-  }
   ReplyFn reply_fn = [this, reply_to, call_id, ticket_id, server_trace,
                       dispatch_begin, span_detail](Status status,
                                                    wire::Bytes payload) {
@@ -281,11 +315,35 @@ void ObjectRuntime::HandleNack(const wire::Message& msg) {
 }
 
 void ObjectRuntime::SendNack(const wire::Message& request) {
+  if (wire::IsOneWay(request)) {
+    CountOneWayDropped();
+    return;
+  }
   wire::Message nack;
   nack.kind = wire::MsgKind::kNack;
   nack.call_id = request.call_id;
   Bump(c_nack_sent_);
   transport_.Send(request.source, std::move(nack));
+}
+
+void ObjectRuntime::SendError(const wire::Message& request, StatusCode code, std::string message) {
+  if (wire::IsOneWay(request)) {
+    CountOneWayDropped();
+    return;
+  }
+  wire::Message reply;
+  reply.kind = wire::MsgKind::kReply;
+  reply.call_id = request.call_id;
+  reply.status = code;
+  reply.status_message = std::move(message);
+  Bump(c_reply_sent_);
+  transport_.Send(request.source, std::move(reply));
+}
+
+void ObjectRuntime::CountOneWayDropped() {
+  if (metrics_ != nullptr) {
+    metrics_->Add("rpc.oneway.dropped");
+  }
 }
 
 void ObjectRuntime::FailCall(uint64_t call_id, Status status) {

@@ -11,6 +11,16 @@
 // A NACK (dead/restarted implementor) completes with UNAVAILABLE — the signal
 // for the Rebinder to re-resolve (paper Section 8.2). Lost messages surface
 // as DEADLINE_EXCEEDED via per-call timers.
+//
+// One-way calls (CORBA `oneway`): Post() sends a request whose call id has
+// wire::kOneWayCallBit set and keeps nothing — no pending entry, promise or
+// timer. The receiver dispatches it with a no-op ReplyFn and answers nothing,
+// not even a NACK or an error reply; the transports likewise never NACK a
+// one-way request (wire::IsOneWay). A one-way call is for
+// traffic whose sender learns of failure some other way, e.g. the MDS data
+// plane, where the settop detects a dead stream by the gap in its chunks
+// (paper Section 3.5.2). One-way requests a runtime discards undispatched
+// count in rpc.oneway.dropped.
 
 #ifndef SRC_RPC_RUNTIME_H_
 #define SRC_RPC_RUNTIME_H_
@@ -98,6 +108,11 @@ class ObjectRuntime {
   Future<wire::Bytes> Invoke(const wire::ObjectRef& ref, uint32_t method_id,
                              wire::Bytes args, const CallOptions& options = {});
 
+  // Sends method `method_id` on `ref` one-way: nothing waits for, or
+  // learns of, its outcome. A traced caller's context rides along, so the
+  // servant's rpc.server span parents on the caller's current span.
+  void Post(const wire::ObjectRef& ref, uint32_t method_id, wire::Bytes args);
+
   uint64_t incarnation() const { return incarnation_; }
   wire::Endpoint local_endpoint() const { return transport_.local_endpoint(); }
   Executor& executor() { return executor_; }
@@ -142,7 +157,14 @@ class ObjectRuntime {
   void HandleRequest(wire::Message msg);
   void HandleReply(wire::Message msg);
   void HandleNack(const wire::Message& msg);
+  // Answer a request that is not dispatched. A one-way request gets no
+  // answer; it is counted in rpc.oneway.dropped instead.
   void SendNack(const wire::Message& request);
+  void SendError(const wire::Message& request, StatusCode code, std::string message);
+  // Counts a one-way request that is dropped undispatched. A cold path, so
+  // the counter is looked up by name: one more handle would move every
+  // runtime (one per settop process) into the next malloc size class.
+  void CountOneWayDropped();
   void FailCall(uint64_t call_id, Status status);
   void FinishCallSpan(PendingCall& call, StatusCode status);
   void NotifyStaleTarget();
@@ -169,9 +191,10 @@ class ObjectRuntime {
   Metrics::Counter* c_nack_sent_ = nullptr;
   Metrics::Counter* c_nack_recv_ = nullptr;
   Metrics::Counter* c_timeout_ = nullptr;
+  Metrics::Counter* c_oneway_sent_ = nullptr;
 
   uint64_t next_object_id_ = 1;
-  uint64_t next_call_id_ = 1;
+  uint64_t next_call_id_ = 1;  // Shared by two-way and one-way requests.
   std::map<uint64_t, Skeleton*> servants_;
   std::map<uint64_t, PendingCall> pending_;
   std::vector<StaleTargetObserver> stale_target_observers_;

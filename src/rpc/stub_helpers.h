@@ -79,6 +79,10 @@ class Proxy {
                            const CallOptions& options = {}) const {
     return runtime_->Invoke(ref_, method_id, std::move(args), options);
   }
+  // One-way call (IDL `oneway`): no reply, no error, no NACK comes back.
+  void Post(uint32_t method_id, wire::Bytes args) const {
+    runtime_->Post(ref_, method_id, std::move(args));
+  }
 
  private:
   ObjectRuntime* runtime_;

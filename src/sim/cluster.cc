@@ -154,8 +154,8 @@ void Network::Deliver(uint32_t index) {
   if (transport == nullptr || !transport->has_receiver()) {
     // Connection-refused: the process is gone. Requests get a NACK so
     // callers learn immediately that the reference is dead (paper
-    // Section 3.2.1); stray replies are dropped.
-    if (msg.kind == wire::MsgKind::kRequest) {
+    // Section 3.2.1); one-way requests and stray replies are dropped.
+    if (msg.kind == wire::MsgKind::kRequest && !wire::IsOneWay(msg)) {
       wire::Message nack;
       nack.kind = wire::MsgKind::kNack;
       nack.call_id = msg.call_id;

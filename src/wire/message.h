@@ -120,6 +120,16 @@ struct Message {
   std::string ToString() const;
 };
 
+// A one-way request (CORBA `oneway`) carries this bit in its call id. The
+// low bits come from the same counter as two-way call ids, so every request
+// a runtime sends has a distinct id (the auth policy's per-call nonces rely
+// on it). Nothing answers a one-way request: no reply, error or NACK.
+inline constexpr uint64_t kOneWayCallBit = uint64_t{1} << 63;
+
+inline bool IsOneWay(const Message& m) {
+  return m.kind == MsgKind::kRequest && (m.call_id & kOneWayCallBit) != 0;
+}
+
 // Full framing used by the TCP transport: 4-byte length prefix handled by the
 // stream layer; these functions encode/decode the body.
 //

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/auth/auth_service.h"
 #include "src/auth/chacha20.h"
@@ -187,9 +188,11 @@ class VaultSkeleton : public rpc::Skeleton {
     if (!rpc::DecodeArgs(args, &s)) {
       return rpc::ReplyBadArgs(reply);
     }
+    args_seen.push_back(s);
     return rpc::ReplyWith(reply, "vault:" + s);
   }
   rpc::CallerInfo last_caller;
+  std::vector<std::string> args_seen;
 };
 
 class AuthE2eTest : public ::testing::Test {
@@ -374,6 +377,51 @@ TEST_F(AuthE2eTest, EncryptedCallsRoundTrip) {
   ASSERT_TRUE(f.result().ok()) << f.result().status();
   EXPECT_EQ(*f.result(), "vault:" + plaintext_probe);
   EXPECT_TRUE(saw_encrypted_request);
+}
+
+TEST_F(AuthE2eTest, EncryptedOneWayCallsNeverShareAKeystream) {
+  sim::Process& cp = client_node_->Spawn("enc-client");
+  KerberosPolicy::Options opts;
+  opts.encrypt_calls = true;
+  auto* policy = cp.Emplace<KerberosPolicy>(
+      "app/enc", DeriveKey(deploy_secret_, "app/enc"), opts);
+  policy->ConfigureTicketSource(cp.runtime(), auth_ref_);
+  cp.runtime().set_security_policy(policy);
+
+  Status fetch = InternalError("unset");
+  policy->PrefetchTicket(vault_ref_.endpoint, [&](Status s) { fetch = s; });
+  cluster_.RunFor(Duration::Seconds(5));
+  ASSERT_TRUE(fetch.ok());
+
+  // The same plaintext three times: two posts and a two-way call. Under one
+  // session key, equal ciphertexts would mean a reused keystream.
+  std::vector<uint64_t> call_ids;
+  std::vector<wire::Bytes> ciphertexts;
+  cluster_.network().SetTap([&](const wire::Endpoint&, const wire::Endpoint& dst,
+                                const wire::Message& msg) {
+    if (dst.port == 900 && msg.kind == wire::MsgKind::kRequest) {
+      EXPECT_TRUE(msg.auth.encrypted);
+      call_ids.push_back(msg.call_id);
+      ciphertexts.push_back(msg.payload);
+    }
+  });
+  const std::string plaintext = "secret-movie-title";
+  cp.runtime().Post(vault_ref_, 1, rpc::EncodeArgs(plaintext));
+  cp.runtime().Post(vault_ref_, 1, rpc::EncodeArgs(plaintext));
+  auto f = rpc::DecodeReply<std::string>(
+      cp.runtime().Invoke(vault_ref_, 1, rpc::EncodeArgs(plaintext)));
+  cluster_.RunFor(Duration::Seconds(5));
+  ASSERT_TRUE(f.is_ready());
+  ASSERT_TRUE(f.result().ok()) << f.result().status();
+
+  ASSERT_EQ(ciphertexts.size(), 3u);
+  EXPECT_NE(call_ids[0] & wire::kOneWayCallBit, 0u);
+  EXPECT_NE(call_ids[0], call_ids[1]);
+  EXPECT_NE(ciphertexts[0], ciphertexts[1]);
+  EXPECT_NE(ciphertexts[0], ciphertexts[2]);
+  EXPECT_NE(ciphertexts[1], ciphertexts[2]);
+  // The vault decrypted and dispatched all three.
+  EXPECT_EQ(vault_->args_seen, std::vector<std::string>(3, plaintext));
 }
 
 TEST_F(AuthE2eTest, ConcurrentPrefetchesShareOneFetch) {

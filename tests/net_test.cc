@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "src/naming/name_client.h"
 #include "src/naming/name_server.h"
 #include "src/net/event_loop.h"
@@ -46,6 +49,7 @@ class EchoSkeleton : public rpc::Skeleton {
   std::string_view interface_name() const override { return "itv.test.Echo"; }
   void Dispatch(uint32_t method_id, const wire::Bytes& args,
                 const rpc::CallContext& ctx, rpc::ReplyFn reply) override {
+    ++calls;
     if (method_id != 1) {
       return rpc::ReplyBadMethod(reply, method_id);
     }
@@ -55,6 +59,7 @@ class EchoSkeleton : public rpc::Skeleton {
     }
     return rpc::ReplyWith(reply, "echo:" + s);
   }
+  int calls = 0;
 };
 
 class TcpRpcTest : public ::testing::Test {
@@ -63,7 +68,8 @@ class TcpRpcTest : public ::testing::Test {
       : server_transport_(loop_, 0),
         client_transport_(loop_, 0),
         server_runtime_(loop_, server_transport_, /*incarnation=*/100),
-        client_runtime_(loop_, client_transport_, /*incarnation=*/200) {
+        client_runtime_(loop_, client_transport_, /*incarnation=*/200,
+                        /*policy=*/nullptr, &client_metrics_) {
     echo_ref_ = server_runtime_.Export(&echo_);
   }
 
@@ -80,6 +86,7 @@ class TcpRpcTest : public ::testing::Test {
   }
 
   EventLoop loop_;
+  Metrics client_metrics_;
   TcpTransport server_transport_;
   TcpTransport client_transport_;
   rpc::ObjectRuntime server_runtime_;
@@ -165,6 +172,43 @@ TEST_F(TcpRpcTest, StaleIncarnationNacked) {
   auto r = Wait(f);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(IsUnavailable(r.status()));
+}
+
+TEST_F(TcpRpcTest, OneWayCallsArriveAndAreNeverNacked) {
+  auto transport = std::make_unique<TcpTransport>(loop_, 0);
+  uint16_t port = transport->local_endpoint().port;
+  auto runtime = std::make_unique<rpc::ObjectRuntime>(loop_, *transport, /*incarnation=*/300);
+  EchoSkeleton sink;
+  wire::ObjectRef ref = runtime->Export(&sink);
+
+  constexpr int kPosts = 1000;
+  for (int i = 0; i < kPosts; ++i) {
+    client_runtime_.Post(ref, 1, rpc::EncodeArgs(std::to_string(i)));
+  }
+  Time deadline = loop_.Now() + Duration::Seconds(5);
+  while (sink.calls < kPosts && loop_.Now() < deadline) {
+    loop_.RunFor(Duration::Millis(10));
+  }
+  EXPECT_EQ(sink.calls, kPosts);
+  EXPECT_EQ(client_metrics_.Get("rpc.oneway.sent"), uint64_t{kPosts});
+
+  // The server goes away and the client's connection closes. Only two-way
+  // calls are ever in flight, so nothing is NACKed.
+  runtime.reset();
+  transport.reset();
+  loop_.RunFor(Duration::Millis(200));
+  EXPECT_EQ(client_metrics_.Get("rpc.nack.recv"), 0u);
+
+  // A server restarted on the same port is reached over a fresh connection.
+  TcpTransport restarted(loop_, port);
+  rpc::ObjectRuntime restarted_runtime(loop_, restarted, /*incarnation=*/400);
+  EchoSkeleton echo;
+  wire::ObjectRef fresh = restarted_runtime.Export(&echo);
+  auto r = Wait(rpc::DecodeReply<std::string>(client_runtime_.Invoke(
+      fresh, 1, rpc::EncodeArgs(std::string("again")))));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "echo:again");
+  EXPECT_EQ(client_metrics_.Get("rpc.nack.recv"), 0u);
 }
 
 }  // namespace

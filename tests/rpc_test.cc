@@ -93,16 +93,22 @@ class EchoProxy : public Proxy {
   Future<void> Never(CallOptions opts) const {
     return DecodeEmptyReply(Call(kEchoMethodNever, {}, opts));
   }
+  // One-way Echo: the servant still replies, into a no-op ReplyFn.
+  void PostEcho(const std::string& s) const { Post(kEchoMethodEcho, EncodeArgs(s)); }
 };
 
 class TestEcho : public EchoImpl {
  public:
-  std::string Echo(const std::string& s) override { return s; }
+  std::string Echo(const std::string& s) override {
+    ++echoes;
+    return s;
+  }
   int64_t Add(int64_t a, int64_t b) override { return a + b; }
   Status Fail() override { return NotFoundError("nope"); }
   std::string WhoAmI(const CallContext& ctx) override {
     return ctx.caller.principal + "@" + ctx.caller_endpoint.ToString();
   }
+  int echoes = 0;
 };
 
 // --- Fixture -----------------------------------------------------------------
@@ -290,6 +296,144 @@ TEST_F(RpcTest, MetricsCountTraffic) {
   EXPECT_EQ(m.Get("rpc.reply.sent"), 1u);
   EXPECT_EQ(m.Get("rpc.reply.recv"), 1u);
   EXPECT_GE(m.Get("net.msg.total"), 2u);
+}
+
+// --- One-way calls -----------------------------------------------------------
+
+TEST_F(RpcTest, PostDispatchesOnceAndNothingComesBack) {
+  MakeProxy().PostEcho("x");
+  cluster_.RunFor(Duration::Seconds(5));
+  EXPECT_EQ(echo_->echoes, 1);
+  Metrics& m = cluster_.metrics();
+  EXPECT_EQ(m.Get("rpc.oneway.sent"), 1u);
+  EXPECT_EQ(m.Get("rpc.request.sent"), 1u);
+  EXPECT_EQ(m.Get("rpc.request.recv"), 1u);
+  EXPECT_EQ(m.Get("rpc.reply.sent"), 0u);  // The servant's ReplyWith sent nothing.
+  EXPECT_EQ(m.Get("rpc.oneway.dropped"), 0u);
+  EXPECT_EQ(m.Get("net.msg.total"), 1u);
+}
+
+TEST_F(RpcTest, PostArmsNoTimer) {
+  sim::Scheduler& scheduler = cluster_.scheduler();
+  size_t before = scheduler.pending_events();
+  MakeProxy().PostEcho("x");
+  // Only the message's arrival is scheduled; an Invoke also arms a timeout.
+  EXPECT_EQ(scheduler.pending_events(), before + 1);
+  cluster_.RunFor(Duration::Seconds(1));
+  EXPECT_EQ(scheduler.pending_events(), before);
+
+  auto f = MakeProxy().Echo("y");
+  EXPECT_EQ(scheduler.pending_events(), before + 2);
+  cluster_.RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(f.is_ready());
+  EXPECT_EQ(scheduler.pending_events(), before);
+}
+
+// A one-way request to `ref` reaches nobody: no NACK comes back and the
+// client's stale-target observers stay quiet. A two-way call to the same
+// target is still NACKed.
+class OneWayDropTest : public RpcTest {
+ protected:
+  void ExpectPostSilentInvokeNacked(const wire::ObjectRef& ref, uint64_t dropped) {
+    int stale = 0;
+    client_proc_->runtime().AddStaleTargetObserver([&stale] { ++stale; });
+    Metrics& m = cluster_.metrics();
+    EchoProxy(client_proc_->runtime(), ref).PostEcho("x");
+    cluster_.RunFor(Duration::Seconds(5));
+    EXPECT_EQ(m.Get("rpc.oneway.sent"), 1u);
+    EXPECT_EQ(m.Get("rpc.oneway.dropped"), dropped);
+    EXPECT_EQ(m.Get("rpc.nack.sent"), 0u);
+    EXPECT_EQ(m.Get("rpc.nack.recv"), 0u);
+    EXPECT_EQ(stale, 0);
+
+    auto r = Wait(EchoProxy(client_proc_->runtime(), ref).Echo("x"));
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(IsUnavailable(r.status())) << r.status();
+    EXPECT_EQ(m.Get("rpc.nack.recv"), 1u);
+    EXPECT_EQ(stale, 1);
+  }
+};
+
+TEST_F(OneWayDropTest, DeadPort) {
+  server_->Kill(server_proc_->pid());
+  cluster_.RunUntilIdle();
+  // The network, not a runtime, refuses it: no runtime counts a drop.
+  ExpectPostSilentInvokeNacked(echo_ref_, 0);
+}
+
+TEST_F(OneWayDropTest, StaleIncarnation) {
+  server_->Kill(server_proc_->pid());
+  cluster_.RunUntilIdle();
+  sim::Process& proc2 = server_->Spawn("echo", 700);
+  auto* echo2 = proc2.Emplace<TestEcho>();
+  proc2.runtime().Export(proc2.Emplace<EchoSkeleton>(*echo2));
+  ExpectPostSilentInvokeNacked(echo_ref_, 1);
+  EXPECT_EQ(echo2->echoes, 0);
+}
+
+TEST_F(OneWayDropTest, UnknownObject) {
+  server_proc_->runtime().Unexport(echo_ref_);
+  ExpectPostSilentInvokeNacked(echo_ref_, 1);
+  EXPECT_EQ(echo_->echoes, 0);
+}
+
+TEST_F(RpcTest, OneWayTypeMismatchDroppedWithoutReply) {
+  wire::ObjectRef bad = echo_ref_;
+  bad.type_id = wire::TypeIdFromName("itv.SomethingElse");
+  EchoProxy(client_proc_->runtime(), bad).PostEcho("x");
+  cluster_.RunFor(Duration::Seconds(5));
+  Metrics& m = cluster_.metrics();
+  EXPECT_EQ(echo_->echoes, 0);
+  EXPECT_EQ(m.Get("rpc.oneway.dropped"), 1u);
+  EXPECT_EQ(m.Get("rpc.reply.sent"), 0u);
+  EXPECT_EQ(m.Get("net.msg.total"), 1u);
+}
+
+TEST_F(RpcTest, OneWayDeniedByPolicyDroppedWithoutReply) {
+  class DenyAll : public InsecurePolicy {
+   public:
+    DenyAll() : InsecurePolicy("server") {}
+    Result<CallerInfo> AdmitRequest(wire::Message*) override {
+      return PermissionDeniedError("denied");
+    }
+  } deny;
+  server_proc_->runtime().set_security_policy(&deny);
+  MakeProxy().PostEcho("x");
+  cluster_.RunFor(Duration::Seconds(5));
+  Metrics& m = cluster_.metrics();
+  EXPECT_EQ(echo_->echoes, 0);
+  EXPECT_EQ(m.Get("rpc.oneway.dropped"), 1u);
+  EXPECT_EQ(m.Get("rpc.reply.sent"), 0u);
+  EXPECT_EQ(m.Get("net.msg.total"), 1u);
+
+  auto r = Wait(MakeProxy().Echo("x"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kPermissionDenied);
+  server_proc_->runtime().set_security_policy(&server_proc_->default_policy());
+}
+
+TEST_F(RpcTest, TracedPostRecordsServerSpanUnderCallersSpan) {
+  trace::Tracer& tracer = client_proc_->tracer();
+  trace::TraceContext root = tracer.StartTrace();
+  {
+    trace::ScopedContext scoped(&tracer, root);
+    MakeProxy().PostEcho("x");
+  }
+  cluster_.RunFor(Duration::Seconds(1));
+  ASSERT_EQ(echo_->echoes, 1);
+  int server_spans = 0;
+  for (const trace::TraceEvent& e : cluster_.trace_buffer().Snapshot()) {
+    if (e.trace_id != root.trace_id) {
+      continue;
+    }
+    EXPECT_NE(e.name, "rpc.call");  // A one-way call has no client span.
+    if (e.name == "rpc.server") {
+      ++server_spans;
+      EXPECT_EQ(e.parent_span_id, root.span_id);
+      EXPECT_EQ(e.node, "forge");
+    }
+  }
+  EXPECT_EQ(server_spans, 1);
 }
 
 // --- Rebinder ---------------------------------------------------------------

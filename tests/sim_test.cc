@@ -666,6 +666,27 @@ TEST(NetworkTest, RequestToDeadPortIsNackedAmidManyInFlight) {
   EXPECT_EQ(c.metrics().Get("net.msg.dropped"), 0u);
 }
 
+TEST(NetworkTest, OneWayRequestToDeadPortIsNotNacked) {
+  Cluster c;
+  Process& tx = c.AddServer("a").Spawn("tx");
+  Node& far = c.AddServer("b");
+  std::vector<uint64_t> nacked;
+  tx.transport().SetReceiver([&](wire::Message m) {
+    EXPECT_EQ(m.kind, wire::MsgKind::kNack);
+    nacked.push_back(m.call_id);
+  });
+  wire::Endpoint dead{far.host(), 4242};
+  for (uint64_t call_id : {wire::kOneWayCallBit | 6, uint64_t{7}, wire::kOneWayCallBit | 8}) {
+    wire::Message m;
+    m.kind = wire::MsgKind::kRequest;
+    m.call_id = call_id;
+    tx.transport().Send(dead, std::move(m));
+  }
+  c.RunFor(Duration::Seconds(1));
+  EXPECT_EQ(nacked, std::vector<uint64_t>{7});
+  EXPECT_EQ(c.metrics().Get("net.msg.total"), 4u);
+}
+
 TEST(NetworkFaultTest, DelayBurstStretchesLinkButPreservesFifo) {
   FaultRig rig;
   rig.cluster.network().SeedFaultRng(7);
